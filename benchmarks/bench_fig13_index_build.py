@@ -1,7 +1,10 @@
 """Figure 13: index construction time vs [n_min, n_max] and vs N.
 
 The paper's shape: build time grows with both the genes-per-matrix range
-(more points to embed + insert) and the number of matrices.
+(more points to embed + insert) and the number of matrices. The engine
+packs its index with STR; the series also times the paper's
+one-at-a-time R* insertion of the same embedded points
+(``rstar_insert_seconds``) next to the pack alone (``pack_seconds``).
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from conftest import scaled, write_table
 from repro.config import BuildConfig, EngineConfig, SyntheticConfig
 from repro.core.query import IMGRNEngine
 from repro.data.synthetic import generate_database
-from repro.eval.experiments import ExperimentResult
+from repro.eval.experiments import ExperimentResult, index_build_row
 from repro.eval.reporting import format_table
 
 RANGES = ((10, 20), (20, 50), (50, 100))
@@ -107,31 +110,22 @@ def test_figure13_series(benchmark, databases, bench_seed):
         result = ExperimentResult(name="fig13_index_build", x_label="sweep")
         for weights in ("uni", "gau"):
             for genes_range in RANGES:
-                engine = IMGRNEngine(
-                    databases[(weights, "range", genes_range)],
-                    EngineConfig(seed=bench_seed),
-                )
-                seconds = engine.build()
                 result.rows.append(
-                    {
-                        "dataset": weights,
-                        "sweep": f"range[{genes_range[0]},{genes_range[1]}]",
-                        "build_seconds": seconds,
-                        "index_pages": float(engine.pages.num_pages),
-                    }
+                    index_build_row(
+                        databases[(weights, "range", genes_range)],
+                        bench_seed,
+                        weights,
+                        f"range[{genes_range[0]},{genes_range[1]}]",
+                    )
                 )
             for n in SIZES:
-                engine = IMGRNEngine(
-                    databases[(weights, "N", n)], EngineConfig(seed=bench_seed)
-                )
-                seconds = engine.build()
                 result.rows.append(
-                    {
-                        "dataset": weights,
-                        "sweep": f"N={scaled(n)}",
-                        "build_seconds": seconds,
-                        "index_pages": float(engine.pages.num_pages),
-                    }
+                    index_build_row(
+                        databases[(weights, "N", n)],
+                        bench_seed,
+                        weights,
+                        f"N={scaled(n)}",
+                    )
                 )
         return result
 

@@ -1,7 +1,9 @@
-"""Micro-benchmarks of the R*-tree substrate (insert / search / kNN / delete).
+"""Micro-benchmarks of the index substrate.
 
-Not a paper figure -- operational visibility into the access method that
-every IM-GRN query rides on, at the embedded-space dimensionality (2d+1=5).
+STR packing, range search and kNN on the packed array index; insert and
+delete on the reference R*-tree. Not a paper figure -- operational
+visibility into the access method that every IM-GRN query rides on, at
+the embedded-space dimensionality (2d+1=5).
 """
 
 from __future__ import annotations
@@ -9,8 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.index.mbr import MBR
-from repro.index.node import LeafEntry
+from repro.index.arraystore import ArrayStore
 from repro.index.rstartree import RStarTree
 
 DIM = 5
@@ -22,17 +23,16 @@ def points(bench_seed):
     return np.random.default_rng(bench_seed).uniform(0, 10, size=(N_POINTS, DIM))
 
 
-@pytest.fixture(scope="module")
-def loaded_tree(points):
-    tree = RStarTree(dim=DIM, max_entries=16)
-    tree.bulk_load(
-        [
-            LeafEntry(point, gene_id=i, source_id=i % 50, payload=i)
-            for i, point in enumerate(points)
-        ]
+def _pack(points) -> ArrayStore:
+    rows = np.arange(len(points))
+    return ArrayStore.pack(
+        points, rows, rows % 50, rows, max_entries=16, bitvector_bits=64
     )
-    tree.finalize()
-    return tree
+
+
+@pytest.fixture(scope="module")
+def loaded_store(points):
+    return _pack(points)
 
 
 def test_insert_throughput(benchmark, points):
@@ -47,40 +47,27 @@ def test_insert_throughput(benchmark, points):
 
 
 def test_bulk_load_throughput(benchmark, points):
-    entries = [
-        LeafEntry(point, gene_id=i, source_id=i % 50, payload=i)
-        for i, point in enumerate(points)
-    ]
-
-    def build():
-        tree = RStarTree(dim=DIM, max_entries=16)
-        tree.bulk_load(list(entries))
-        return tree
-
-    tree = benchmark.pedantic(build, rounds=2, iterations=1)
-    assert len(tree) == N_POINTS
+    store = benchmark.pedantic(_pack, args=(points,), rounds=2, iterations=1)
+    assert len(store) == N_POINTS
 
 
-def test_range_search_throughput(benchmark, loaded_tree, bench_seed):
+def test_range_search_throughput(benchmark, loaded_store, bench_seed):
     rng = np.random.default_rng(bench_seed + 1)
-    boxes = []
-    for _ in range(50):
-        low = rng.uniform(0, 8, size=DIM)
-        boxes.append(MBR(low, low + 2.0))
+    lows = rng.uniform(0, 8, size=(50, DIM))
 
     def run():
-        return sum(len(loaded_tree.search(box)) for box in boxes)
+        return sum(len(loaded_store.search(low, low + 2.0)) for low in lows)
 
     total = benchmark(run)
     assert total > 0
 
 
-def test_knn_throughput(benchmark, loaded_tree, bench_seed):
+def test_knn_throughput(benchmark, loaded_store, bench_seed):
     rng = np.random.default_rng(bench_seed + 2)
     probes = rng.uniform(0, 10, size=(50, DIM))
 
     def run():
-        return sum(len(loaded_tree.nearest(p, k=5)) for p in probes)
+        return sum(len(loaded_store.nearest(p, k=5)) for p in probes)
 
     total = benchmark(run)
     assert total == 50 * 5
@@ -92,12 +79,8 @@ def test_delete_throughput(benchmark, points, bench_seed):
 
     def run():
         tree = RStarTree(dim=DIM, max_entries=16)
-        tree.bulk_load(
-            [
-                LeafEntry(point, gene_id=i, source_id=i % 50, payload=i)
-                for i, point in enumerate(points)
-            ]
-        )
+        for i, point in enumerate(points):
+            tree.insert(point, i, i % 50, i)
         for payload in victims:
             tree.delete(int(payload))
         return tree

@@ -9,8 +9,8 @@ the build artifacts to survive process restarts. This module serializes
 * every matrix's embedding (pivot indices, x/y coordinates),
 
 into one compressed ``.npz`` archive. Loading restores the database and
-embeddings and re-inserts the (already-embedded) points into a fresh
-R*-tree -- skipping pivot selection and expectation computation, the
+embeddings and re-packs the (already-embedded) points into a fresh
+array index -- skipping pivot selection and expectation computation, the
 numerically heavy part of :meth:`IMGRNEngine.build`. Because every
 component is deterministic given the archive, a loaded engine answers
 queries identically to the one that was saved (asserted in tests).
@@ -89,6 +89,15 @@ def _config_from_dict(raw: dict) -> EngineConfig:
     return EngineConfig(**kwargs)
 
 
+def _indexed_matrices(engine: IMGRNEngine) -> list[GeneFeatureMatrix]:
+    """The database's indexed matrices, in database order.
+
+    ``remove_matrix`` keeps a removed matrix in the database but drops its
+    embedding; a save stores only what the index holds.
+    """
+    return [m for m in engine.database if m.source_id in engine._entries]
+
+
 def _matrix_payload(engine: IMGRNEngine, matrix: GeneFeatureMatrix) -> dict:
     """The per-matrix archive arrays (raw data + embedding)."""
     sid = matrix.source_id
@@ -140,15 +149,16 @@ def save_engine(engine: IMGRNEngine, path: str | Path) -> None:
     """
     if not engine.is_built:
         raise IndexNotBuiltError("build() the engine before saving it")
+    matrices = _indexed_matrices(engine)
     meta = {
         "format_version": _FORMAT_VERSION,
         "config": dataclasses.asdict(engine.config),
-        "source_ids": [int(s) for s in engine.database.source_ids],
+        "source_ids": [int(m.source_id) for m in matrices],
     }
     payload: dict[str, np.ndarray] = {
         "meta": np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
     }
-    for matrix in engine.database:
+    for matrix in matrices:
         payload.update(_matrix_payload(engine, matrix))
     with _io.BytesIO() as buffer:
         np.savez_compressed(buffer, **payload)
@@ -184,27 +194,16 @@ def load_engine(path: str | Path) -> IMGRNEngine:
 def _install_index(
     engine: IMGRNEngine, embeddings: dict[int, EmbeddedMatrix]
 ) -> None:
-    """Insert stored embeddings into a fresh tree + inverted file.
+    """Pack stored embeddings into a fresh array index + inverted file.
 
-    Insertion follows database order -- the same order :meth:`build` merges
+    Packing follows database order -- the same order :meth:`build` merges
     shard outputs -- so a restored engine's index is bit-identical to a
     freshly built one.
     """
     from ..index.invertedfile import InvertedBitVectorFile
-    from ..index.pagemanager import PageManager
-    from ..index.rstartree import RStarTree
 
-    config = engine.config
     started = time.perf_counter()
-    engine.pages = PageManager()
-    engine.pages.pause()
-    tree = RStarTree(
-        dim=2 * config.num_pivots + 1,
-        max_entries=config.rstar_max_entries,
-        pages=engine.pages,
-        bitvector_bits=config.bitvector_bits,
-    )
-    inverted = InvertedBitVectorFile(config.bitvector_bits)
+    inverted = InvertedBitVectorFile(engine.config.bitvector_bits)
     for matrix in engine.database:
         embedded = embeddings[matrix.source_id]
         engine._entries[matrix.source_id] = _MatrixEntry(
@@ -212,16 +211,10 @@ def _install_index(
             embedded=embedded,
             standardized=standardize_matrix(matrix.values),
         )
-        points = embedded.points()
-        for gene_index, gene_id in enumerate(embedded.gene_ids):
-            payload = engine._payload_key(matrix.source_id, gene_index)
-            tree.insert(points[gene_index], gene_id, matrix.source_id, payload)
+        for gene_id in embedded.gene_ids:
             inverted.add(gene_id, matrix.source_id)
-    tree.finalize()
-    engine.pages.resume()
-    engine.tree = tree
+    engine._repack()
     engine.inverted_file = inverted
-    engine._recompact()
     engine.build_seconds = time.perf_counter() - started
 
 
@@ -233,8 +226,8 @@ def _install_mmap_index(
 ) -> None:
     """Install a memmapped array-store snapshot as the engine's index.
 
-    No object tree is built: the snapshot's arrays are mapped read-only
-    and become the traversal's read path directly. The page-ID space is
+    Nothing is re-packed: the snapshot's arrays are mapped read-only and
+    become the traversal's index directly. The page-ID space is
     reserved on a fresh :class:`PageManager` so I/O accounting against
     the snapshot's original page IDs still validates, and the inverted
     file is rebuilt from the snapshot's (gene, source) entry columns --
@@ -248,8 +241,8 @@ def _install_mmap_index(
     arrays_entry = meta.get("index_arrays")
     if arrays_entry is None:
         raise ValidationError(
-            f"{target}: save has no array-store snapshot; re-save with "
-            "use_array_index enabled or load with mmap_index=False"
+            f"{target}: save has no array-store snapshot; re-save the "
+            "engine or load with mmap_index=False"
         )
     store = ArrayStore.load(target / arrays_entry["directory"], mmap=True)
     recorded = arrays_entry.get("fingerprint")
@@ -272,7 +265,6 @@ def _install_mmap_index(
             embedded=embeddings[matrix.source_id],
             standardized=standardize_matrix(matrix.values),
         )
-    engine.tree = None
     engine.array_index = store
     engine.inverted_file = inverted
     engine.build_seconds = time.perf_counter() - started
@@ -360,7 +352,7 @@ def save_engine_sharded(
 
     config_key = _embedding_config_key(engine.config)
     shard_size = engine.config.build.shard_size
-    matrices = list(engine.database)
+    matrices = _indexed_matrices(engine)
     written: list[str] = []
     skipped: list[str] = []
     shard_entries: list[dict] = []
@@ -401,37 +393,32 @@ def save_engine_sharded(
             stale = target / _shard_file_name(index)
             if stale.is_file():
                 stale.unlink()
-    # Array-store snapshot: the zero-copy read view of the index, written
-    # as raw .npy files that np.memmap can share across processes. The
-    # snapshot is rewritten only when its content fingerprint changed.
-    arrays_state = "absent"
-    arrays_entry: dict | None = None
-    if engine.array_index is not None:
-        fingerprint = engine.array_index.fingerprint()
-        arrays_dir = target / _INDEX_ARRAYS_DIR
-        arrays_entry = {
-            "directory": _INDEX_ARRAYS_DIR,
-            "fingerprint": fingerprint,
-            "num_entries": engine.array_index.num_entries,
-        }
-        unchanged = (
-            previous_arrays is not None
-            and previous_arrays.get("fingerprint") == fingerprint
-            and (arrays_dir / "header.json").is_file()
-        )
-        if unchanged:
-            arrays_state = "skipped"
-        else:
-            engine.array_index.save(arrays_dir)
-            arrays_state = "written"
+    # Array-store snapshot: the index itself, written as raw .npy files
+    # that np.memmap can share across processes. The snapshot is
+    # rewritten only when its content fingerprint changed.
+    fingerprint = engine.array_index.fingerprint()
+    arrays_dir = target / _INDEX_ARRAYS_DIR
+    unchanged = (
+        previous_arrays is not None
+        and previous_arrays.get("fingerprint") == fingerprint
+        and (arrays_dir / "header.json").is_file()
+    )
+    if unchanged:
+        arrays_state = "skipped"
+    else:
+        engine.array_index.save(arrays_dir)
+        arrays_state = "written"
     meta = {
         "format_version": _SHARDED_FORMAT_VERSION,
         "config": dataclasses.asdict(engine.config),
         "embedding_config": config_key,
         "shards": shard_entries,
+        "index_arrays": {
+            "directory": _INDEX_ARRAYS_DIR,
+            "fingerprint": fingerprint,
+            "num_entries": engine.array_index.num_entries,
+        },
     }
-    if arrays_entry is not None:
-        meta["index_arrays"] = arrays_entry
     meta_path.write_text(json.dumps(meta, indent=2), encoding="utf-8")
     return {"written": written, "skipped": skipped, "index_arrays": arrays_state}
 
@@ -498,10 +485,10 @@ def load_engine_sharded(
     its stored embedding when its content fingerprint still matches --
     only changed or new matrices re-run pivot selection and embedding.
     The resulting engine is bit-identical to a fresh serial build over the
-    same database (insertion order is database order either way).
+    same database (packing order is database order either way).
 
-    ``mmap_index=True`` skips the object-tree rebuild entirely and maps
-    the save's array-store snapshot (``index_arrays/``) read-only via
+    ``mmap_index=True`` skips the re-pack entirely and maps the save's
+    array-store snapshot (``index_arrays/``) read-only via
     ``np.memmap``: loading the index becomes an mmap call, N worker
     processes share one page-cache copy, and queries return bit-identical
     answers and counters (see ``tests/test_arraystore.py``). The engine

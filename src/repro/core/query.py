@@ -3,8 +3,9 @@
 :class:`IMGRNEngine` owns the whole indexed pipeline:
 
 * **build**: per matrix, select pivots (Fig. 3), embed every gene vector
-  into ``2d+1`` dims (Section 4.2), insert the points into one R*-tree,
-  and register gene/source IDs in the inverted bit-vector file.
+  into ``2d+1`` dims (Section 4.2), pack all points into one R*-tree
+  (:meth:`repro.index.arraystore.ArrayStore.pack`), and register
+  gene/source IDs in the inverted bit-vector file.
 * **query**: infer the query GRN ``Q`` from ``M_Q`` (with edge-inference
   pruning), anchor the traversal at the highest-degree query gene, walk
   the tree with a priority queue over node *pairs* -- applying bit-vector
@@ -19,7 +20,6 @@ query-graph inference and final refinement.
 
 from __future__ import annotations
 
-import bisect
 import heapq
 import itertools
 import math
@@ -31,19 +31,12 @@ import numpy as np
 from ..config import EngineConfig
 from ..data.database import GeneFeatureDatabase
 from ..data.matrix import GeneFeatureMatrix
-from ..errors import (
-    IndexNotBuiltError,
-    InternalError,
-    UnknownGeneError,
-    ValidationError,
-)
+from ..errors import IndexNotBuiltError, UnknownGeneError, ValidationError
 from ..eval.counters import QueryStats
 from ..index.arraystore import ArrayStore, int_to_words
-from ..index.bitvector import signature, signatures_overlap
-from ..index.invertedfile import SOURCE_SALT, InvertedBitVectorFile
-from ..index.node import Node
+from ..index.bitvector import signature
+from ..index.invertedfile import InvertedBitVectorFile
 from ..index.pagemanager import PageManager
-from ..index.rstartree import RStarTree
 from ..obs import MetricsRegistry, Observability
 from ..obs import names as _names
 from .batch_inference import BatchInferenceEngine, standardize_columns
@@ -54,7 +47,6 @@ from .probgraph import ProbabilisticGraph, edge_key
 from .pruning import (
     edge_inference_prunable,
     graph_existence_prunable,
-    index_pair_prunable,
     index_pairs_prunable,
     markov_edge_upper_bound,
     pivot_edge_upper_bound,
@@ -169,11 +161,10 @@ class IMGRNEngine:
         self.config = config or EngineConfig()
         self.obs = Observability.from_config(self.config.observability)
         self.pages = PageManager()
-        self.tree: RStarTree | None = None
-        #: Read-path structure-of-arrays view of the finalized tree (see
-        #: :mod:`repro.index.arraystore`); refreshed by :meth:`_recompact`
-        #: after every index mutation, or installed directly by the
-        #: persistence layer when reloading via ``np.memmap``.
+        #: The R*-tree index as arrays (see :mod:`repro.index.arraystore`);
+        #: re-packed by :meth:`_repack` after every index mutation, or
+        #: installed directly by the persistence layer when reloading via
+        #: ``np.memmap``.
         self.array_index: ArrayStore | None = None
         self.inverted_file: InvertedBitVectorFile | None = None
         self.build_seconds: float = 0.0
@@ -196,44 +187,81 @@ class IMGRNEngine:
     # ------------------------------------------------------------------
     @property
     def is_built(self) -> bool:
-        return self.tree is not None or self.array_index is not None
+        return self.array_index is not None
 
-    def _recompact(self) -> None:
-        """Refresh the array-backed read view after any index mutation.
+    def index_points(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The indexed rows as ``(points, gene_ids, source_ids, payloads)``.
 
-        A no-op (the view is dropped) when ``config.use_array_index`` is
-        off; otherwise the finalized object tree is compacted into a
-        fresh :class:`~repro.index.arraystore.ArrayStore`, which the
-        traversal then uses instead of pointer chasing.
+        One row per gene of every indexed source, in database order (the
+        order ``_entries`` keeps): the input of :meth:`_repack`, and of
+        the reference R*-insertion build the experiments time against it.
         """
-        if self.tree is not None and self.config.use_array_index:
-            self.array_index = ArrayStore.from_tree(self.tree)
-        else:
-            self.array_index = None
+        entries = list(self._entries.values())
+        if not entries:
+            empty = np.empty(0, dtype=np.int64)
+            dim = 2 * self.config.num_pivots + 1
+            return np.empty((0, dim)), empty, empty, empty
+        sources, payloads = [], []
+        for entry in entries:
+            source, width = entry.matrix.source_id, len(entry.embedded.gene_ids)
+            self._payload_key(source, width - 1)  # validates the key range
+            sources.append(np.full(width, source, dtype=np.int64))
+            payloads.append(source * _PAYLOAD_GENE_LIMIT + np.arange(width))
+        return (
+            np.concatenate([entry.embedded.points() for entry in entries]),
+            np.concatenate([entry.embedded.gene_ids for entry in entries]).astype(
+                np.int64
+            ),
+            np.concatenate(sources),
+            np.concatenate(payloads),
+        )
+
+    def _repack(self) -> None:
+        """Pack every retained embedding into a fresh array index.
+
+        The index depends only on the retained sources and their order,
+        so a build, a reload and any add/remove sequence over the same
+        sources yield the same store, page IDs included (each pack
+        starts a fresh :class:`PageManager`).
+        """
+        rows = self.index_points()
+        with self.obs.tracer.span("build.index_insert", points=len(rows[1])):
+            self.pages = PageManager()
+            self.array_index = ArrayStore.pack(
+                *rows,
+                max_entries=self.config.rstar_max_entries,
+                bitvector_bits=self.config.bitvector_bits,
+                pages=self.pages,
+            )
+
+    def _require_mutable(self, operation: str) -> None:
+        if self.array_index is None or self.inverted_file is None:
+            raise IndexNotBuiltError(f"call build() before {operation}()")
+        if isinstance(self.array_index.entry_points, np.memmap):
+            raise IndexNotBuiltError(
+                "this engine holds a read-only mmap-loaded array index; "
+                "reload with mmap_index=False (or rebuild) to mutate"
+            )
 
     def inference_stats(self) -> dict[str, float]:
         """Edge-probability cache counters of the batched inference engine."""
         return self._inference.stats()
 
-    def build(self, pivot_strategy: str = "cost_model", bulk: bool = False) -> float:
-        """Embed every matrix, build the R*-tree and inverted file.
+    def build(self, pivot_strategy: str = "cost_model") -> float:
+        """Embed every matrix, pack the R*-tree and fill the inverted file.
 
         The numerically heavy per-matrix work (pivot selection, embedding,
         expected-distance computation) runs in shards of
         ``config.build.shard_size`` matrices; with ``config.build.workers
         > 1`` the shards are striped round-robin across a
-        ``ProcessPoolExecutor``. Shard outputs are merged into the tree in
-        database order, so every ``BuildConfig`` setting produces a
-        bit-identical index (see :mod:`repro.core.parallel_build`).
-
-        ``bulk=True`` packs the tree with Sort-Tile-Recursive loading
-        instead of one-at-a-time R* insertion -- much faster to build,
-        slightly worse node quality at query time (see
-        ``bench_ablation_bulkload``).
+        ``ProcessPoolExecutor``. Shard outputs are merged in database
+        order and packed in one Sort-Tile-Recursive pass
+        (:meth:`repro.index.arraystore.ArrayStore.pack`), so every
+        ``BuildConfig`` setting produces a bit-identical index (see
+        :mod:`repro.core.parallel_build`).
 
         Returns the wall-clock build time in seconds (what Fig. 13 plots).
         """
-        from ..index.node import LeafEntry
         from .parallel_build import partition_shards
 
         config = self.config
@@ -245,25 +273,14 @@ class IMGRNEngine:
         built_points = metrics.counter(
             _names.BUILD_POINTS, help="index points inserted", engine=_ENGINE
         )
-        dim = 2 * config.num_pivots + 1
         started = time.perf_counter()
-        self.pages = PageManager()
-        self.pages.pause()  # build I/O is not part of the query metric
-        tree = RStarTree(
-            dim=dim,
-            max_entries=config.rstar_max_entries,
-            pages=self.pages,
-            bitvector_bits=config.bitvector_bits,
-        )
         inverted = InvertedBitVectorFile(config.bitvector_bits)
         self._entries = {}
-        pending: list[LeafEntry] = []
         matrices = list(self.database)
         shards = partition_shards(matrices, config.build.shard_size)
         with tracer.span(
             "build",
             engine=_ENGINE,
-            bulk=bulk,
             workers=config.build.workers,
             shards=len(shards),
         ):
@@ -271,36 +288,11 @@ class IMGRNEngine:
             with tracer.span("build.merge", engine=_ENGINE, matrices=len(matrices)):
                 for matrix in matrices:
                     embedded = embedded_by_source[matrix.source_id]
-                    standardized = standardize_matrix(matrix.values)
                     self._entries[matrix.source_id] = _MatrixEntry(
                         matrix=matrix,
                         embedded=embedded,
-                        standardized=standardized,
+                        standardized=standardize_matrix(matrix.values),
                     )
-                    points = embedded.points()
-                    with tracer.span(
-                        "build.index_insert", source=matrix.source_id
-                    ):
-                        for gene_index, gene_id in enumerate(embedded.gene_ids):
-                            payload = self._payload_key(
-                                matrix.source_id, gene_index
-                            )
-                            if bulk:
-                                pending.append(
-                                    LeafEntry(
-                                        points[gene_index],
-                                        gene_id,
-                                        matrix.source_id,
-                                        payload,
-                                    )
-                                )
-                            else:
-                                tree.insert(
-                                    points[gene_index],
-                                    gene_id,
-                                    matrix.source_id,
-                                    payload,
-                                )
                     with tracer.span(
                         "build.inverted_file", source=matrix.source_id
                     ):
@@ -308,18 +300,8 @@ class IMGRNEngine:
                             inverted.add(gene_id, matrix.source_id)
                     built_matrices.inc()
                     built_points.inc(matrix.num_genes)
-                if bulk:
-                    # Tile the gene-ID dimension first: it is the
-                    # traversal's most discriminative axis (exact
-                    # anchor/neighbor range checks).
-                    with tracer.span("build.bulk_load", points=len(pending)):
-                        gene_first = [dim - 1] + list(range(dim - 1))
-                        tree.bulk_load(pending, axis_order=gene_first)
-                tree.finalize()
-        self.pages.resume()
-        self.tree = tree
+                self._repack()
         self.inverted_file = inverted
-        self._recompact()
         self.build_seconds = time.perf_counter() - started
         metrics.histogram(
             _names.BUILD_SECONDS, help="index build seconds", engine=_ENGINE
@@ -594,9 +576,7 @@ class IMGRNEngine:
             raise ValidationError(
                 f"execute() takes a QuerySpec, got {type(spec).__name__}"
             )
-        if self.inverted_file is None or (
-            self.tree is None and self.array_index is None
-        ):
+        if self.inverted_file is None or self.array_index is None:
             raise IndexNotBuiltError("call build() before execute()")
         kind = spec.kind
         gamma = spec.gamma
@@ -671,7 +651,9 @@ class IMGRNEngine:
                     seen = {source for source, _g in candidate_pairs}
                     recovered = [
                         (source, 1.0)
-                        for source in self._gene_holders(query_graph.gene_ids)
+                        for source in self.array_index.sources_with_genes(
+                            query_graph.gene_ids
+                        )
                         if source not in seen
                     ]
                     if recovered:
@@ -744,24 +726,19 @@ class IMGRNEngine:
 
         Supports the prototype-system scenario of the paper's conclusion:
         gene feature data keeps arriving from institutions; the engine
-        embeds the new matrix with its own pivots, inserts its points into
-        the existing R*-tree, updates the inverted file, and recomputes the
-        node signatures -- no full rebuild.
+        embeds only the new matrix (with its own pivots), updates the
+        inverted file, and re-packs the index over the retained
+        embeddings -- no other matrix is re-embedded.
 
         Raises
         ------
         IndexNotBuiltError
-            If :meth:`build` has not run yet.
+            If :meth:`build` has not run yet, or the index is a read-only
+            mmap snapshot.
         ValidationError
             If the source ID already exists (via the database).
         """
-        if self.array_index is not None and self.tree is None:
-            raise IndexNotBuiltError(
-                "this engine holds a read-only mmap-loaded array index; "
-                "reload with mmap_index=False (or rebuild) to mutate"
-            )
-        if self.tree is None or self.inverted_file is None:
-            raise IndexNotBuiltError("call build() before add_matrix()")
+        self._require_mutable("add_matrix")
         tracer = self.obs.tracer
         with tracer.span(
             "build.add_matrix",
@@ -777,18 +754,9 @@ class IMGRNEngine:
                 embedded=embedded,
                 standardized=standardize_matrix(matrix.values),
             )
-            self.pages.pause()
-            self.tree.reopen()
-            points = embedded.points()
-            for gene_index, gene_id in enumerate(embedded.gene_ids):
-                payload = self._payload_key(matrix.source_id, gene_index)
-                self.tree.insert(
-                    points[gene_index], gene_id, matrix.source_id, payload
-                )
+            for gene_id in embedded.gene_ids:
                 self.inverted_file.add(gene_id, matrix.source_id)
-            self.tree.finalize()
-            self.pages.resume()
-            self._recompact()
+            self._repack()
         self.obs.metrics.counter(
             _names.BUILD_MATRICES, help="matrices indexed", engine=_ENGINE
         ).inc()
@@ -797,28 +765,24 @@ class IMGRNEngine:
         ).inc(matrix.num_genes)
 
     def remove_matrix(self, source_id: int) -> None:
-        """Remove one data source from the index (tree + inverted file).
+        """Remove one data source from the index (arrays + inverted file).
 
         The dual of :meth:`add_matrix` for the prototype-system scenario:
         a retracted study or revoked data-sharing agreement takes its
-        matrix out of the searchable index without a rebuild. The
-        database object keeps the matrix (other references may hold it);
-        only the index forgets it.
+        matrix out of the searchable index without a rebuild (the other
+        sources' embeddings are re-packed, not recomputed). The database
+        object keeps the matrix (other references may hold it); only the
+        index forgets it.
 
         Raises
         ------
         IndexNotBuiltError
-            If :meth:`build` has not run yet.
+            If :meth:`build` has not run yet, or the index is a read-only
+            mmap snapshot.
         UnknownGeneError
             If the source is not indexed.
         """
-        if self.array_index is not None and self.tree is None:
-            raise IndexNotBuiltError(
-                "this engine holds a read-only mmap-loaded array index; "
-                "reload with mmap_index=False (or rebuild) to mutate"
-            )
-        if self.tree is None or self.inverted_file is None:
-            raise IndexNotBuiltError("call build() before remove_matrix()")
+        self._require_mutable("remove_matrix")
         try:
             entry = self._entries.pop(source_id)
         except KeyError:
@@ -829,18 +793,8 @@ class IMGRNEngine:
             source=source_id,
             genes=entry.matrix.num_genes,
         ):
-            self.pages.pause()
-            for gene_index in range(entry.matrix.num_genes):
-                payload = self._payload_key(source_id, gene_index)
-                removed = self.tree.delete(payload)
-                if not removed:
-                    raise InternalError(
-                        f"index entry for source {source_id} gene {gene_index} "
-                        "was missing during removal"
-                    )
             self.inverted_file.remove_source(source_id, entry.matrix.gene_ids)
-            self.pages.resume()
-            self._recompact()
+            self._repack()
 
     def _pick_anchor(self, query_graph: ProbabilisticGraph) -> int:
         """Anchor gene for the traversal (Fig. 4 line 2, or an ablation).
@@ -871,144 +825,22 @@ class IMGRNEngine:
         pages,
         metrics,
     ) -> dict[tuple[int, int], float]:
-        if self.array_index is not None:
-            return self._traverse_arrays(
-                anchor, neighbor_genes, gamma, pages=pages, metrics=metrics
-            )
-        assert self.tree is not None and self.inverted_file is not None
-        config = self.config
-        bits = config.bitvector_bits
-        d = config.num_pivots
-        # Hoisted per-stage pruning counters: one attribute add per event
-        # inside consider_pair, no registry lookups on the hot path. The
-        # counters live on the caller's per-query registry, so concurrent
-        # traversals never interleave their tallies.
-        pruned_help = "pairs discarded by pruning"
+        """Fig. 4 traversal: a priority queue over index node *pairs*.
 
-        def pruned(stage: str):
-            return metrics.counter(
-                _names.QUERY_PRUNED, help=pruned_help, engine=_ENGINE, stage=stage
-            )
-
-        pruned_gene_range = pruned("gene_range")
-        pruned_gene_sig = pruned("bitvector_gene")
-        pruned_source_sig = pruned("bitvector_source")
-        pruned_lemma6 = pruned("lemma6")
-        pruned_leaf = pruned("leaf_edge_bound")
-
-        qvf_anchor = signature(anchor, bits)
-        qvf_neighbors = 0
-        qvd_anchor = self.inverted_file.sources_signature(anchor)
-        qvd_neighbors = 0
-        neighbor_set = set(neighbor_genes)
-        for gene in neighbor_genes:
-            qvf_neighbors |= signature(gene, bits)
-            qvd_neighbors |= self.inverted_file.sources_signature(gene)
-        if qvd_anchor == 0 or qvd_neighbors == 0:
-            return {}
-
-        candidates: dict[tuple[int, int], float] = {}
-        queue: list[tuple[int, int, Node, Node]] = []
-        tie = itertools.count()
-        gene_dim = 2 * d  # the (2d+1)-th index coordinate is the gene ID
-        sorted_neighbors = neighbor_genes  # already sorted by caller
-
-        def gene_range_matches(node_s: Node, node_t: Node) -> bool:
-            """Exact filter on the gene-ID coordinate of the MBRs.
-
-            The gene ID is a real index dimension (Section 5.1 includes it
-            exactly so that equal genes cluster), so range checks against
-            the anchor / neighbor gene IDs are sound and collision-free.
-            """
-            if not node_s.mbr.low[gene_dim] <= anchor <= node_s.mbr.high[gene_dim]:
-                return False
-            low_t = node_t.mbr.low[gene_dim]
-            high_t = node_t.mbr.high[gene_dim]
-            idx = bisect.bisect_left(sorted_neighbors, low_t)
-            return idx < len(sorted_neighbors) and sorted_neighbors[idx] <= high_t
-
-        def consider_pair(node_s: Node, node_t: Node, level: int) -> None:
-            """Filter one node pair; push survivors (Fig. 4, lines 11-13/25-26)."""
-            if node_s.mbr is None or node_t.mbr is None:
-                return
-            if not gene_range_matches(node_s, node_t):
-                pruned_gene_range.inc()
-                return
-            if not signatures_overlap(qvf_anchor, node_s.vf):
-                pruned_gene_sig.inc()
-                return
-            if not signatures_overlap(qvf_neighbors, node_t.vf):
-                pruned_gene_sig.inc()
-                return
-            if (qvd_anchor & node_s.vd & qvd_neighbors & node_t.vd) == 0:
-                pruned_source_sig.inc()
-                return
-            if index_pair_prunable(
-                node_s.x_max(d), node_t.x_min(d), node_t.y_max(d), gamma
-            ):
-                pruned_lemma6.inc()
-                return
-            heapq.heappush(queue, (level, next(tie), node_s, node_t))
-
-        root = self.tree.root
-        pages.access(root.page_id)
-        if root.is_leaf:
-            self._scan_leaf_pair(
-                root, root, anchor, neighbor_set, gamma, candidates, pruned_leaf
-            )
-            return candidates
-        for node_a in root.entries:
-            for node_b in root.entries:
-                consider_pair(node_a, node_b, root.level - 1)
-
-        while queue:
-            level, _tie, node_s, node_t = heapq.heappop(queue)
-            pages.access(node_s.page_id)
-            if node_t is not node_s:
-                pages.access(node_t.page_id)
-            if level == 0:
-                self._scan_leaf_pair(
-                    node_s,
-                    node_t,
-                    anchor,
-                    neighbor_set,
-                    gamma,
-                    candidates,
-                    pruned_leaf,
-                )
-                continue
-            for child_s in node_s.entries:
-                for child_t in node_t.entries:
-                    consider_pair(child_s, child_t, level - 1)
-        return candidates
-
-    def _traverse_arrays(
-        self,
-        anchor: int,
-        neighbor_genes: list[int],
-        gamma: float,
-        *,
-        pages,
-        metrics,
-    ) -> dict[tuple[int, int], float]:
-        """Fig. 4 traversal over the array-backed index view.
-
-        Semantically a transliteration of :meth:`_traverse` from node
-        objects to array rows, with the per-child filter loop replaced by
-        whole-node NumPy calls: for each popped pair, the gene-range,
-        bit-vector and Lemma-6 checks run over the full ``n_s x n_t``
-        child cross product at once and only survivors are pushed. Every
-        per-element operation matches the scalar path exactly, survivor
-        pairs are enumerated in the same s-outer/t-inner order (row-major
-        ``argwhere``), and the shared tie counter is only advanced for
-        pushed pairs -- so heap pop order, page accesses and every pruning
-        counter are bit-identical to the object-tree traversal.
+        For each popped pair, the gene-range, bit-vector and Lemma-6
+        checks run over the full ``n_s x n_t`` child cross product in
+        whole-node NumPy calls and only survivors are pushed (s-outer,
+        t-inner order; the tie counter advances only for pushed pairs).
+        Leaf pairs are scanned point by point (Fig. 4, lines 16-21).
+        Returns ``{(source_id, neighbor_gene): edge upper bound}``.
         """
         store = self.array_index
         assert store is not None and self.inverted_file is not None
         config = self.config
         bits = config.bitvector_bits
         d = config.num_pivots
+        # Hoisted per-stage pruning counters on the caller's per-query
+        # registry: concurrent traversals never interleave their tallies.
         pruned_help = "pairs discarded by pruning"
 
         def pruned(stage: str):
@@ -1105,7 +937,7 @@ class IMGRNEngine:
         pages.access(int(page_ids[0]))
         root_level = int(levels[0])
         if root_level == 0:
-            self._scan_leaf_pair_arrays(
+            self._scan_leaf_pair(
                 store, 0, 0, anchor, neighbor_set, gamma, candidates, pruned_leaf
             )
             return candidates
@@ -1117,7 +949,7 @@ class IMGRNEngine:
             if t_node != s_node:
                 pages.access(int(page_ids[t_node]))
             if level == 0:
-                self._scan_leaf_pair_arrays(
+                self._scan_leaf_pair(
                     store,
                     s_node,
                     t_node,
@@ -1131,7 +963,7 @@ class IMGRNEngine:
             consider_children(s_node, t_node, level - 1)
         return candidates
 
-    def _scan_leaf_pair_arrays(
+    def _scan_leaf_pair(
         self,
         store: ArrayStore,
         leaf_s: int,
@@ -1142,7 +974,7 @@ class IMGRNEngine:
         candidates: dict[tuple[int, int], float],
         pruned_leaf,
     ) -> None:
-        """Array-row mirror of :meth:`_scan_leaf_pair` (same scan order)."""
+        """Fig. 4, lines 16-21: pairwise point checks inside a leaf pair."""
         gene_ids = store.entry_gene_ids
         source_ids = store.entry_source_ids
         points = store.entry_points
@@ -1172,41 +1004,6 @@ class IMGRNEngine:
                 if previous is None or bound < previous:
                     candidates[key] = bound
 
-    def _scan_leaf_pair(
-        self,
-        leaf_s: Node,
-        leaf_t: Node,
-        anchor: int,
-        neighbor_set: set[int],
-        gamma: float,
-        candidates: dict[tuple[int, int], float],
-        pruned_leaf,
-    ) -> None:
-        """Fig. 4, lines 16-21: pairwise point checks inside a leaf pair."""
-        anchors = [e for e in leaf_s.entries if e.gene_id == anchor]
-        if not anchors:
-            return
-        for entry_t in leaf_t.entries:
-            if entry_t.gene_id not in neighbor_set:
-                continue
-            for entry_s in anchors:
-                if entry_s.source_id != entry_t.source_id:
-                    continue
-                key = (entry_t.source_id, entry_t.gene_id)
-                bound = self._leaf_pair_bound(
-                    entry_s.source_id,
-                    entry_s.gene_id,
-                    entry_t.gene_id,
-                    entry_s.point,
-                    entry_t.point,
-                )
-                if edge_inference_prunable(bound, gamma):
-                    pruned_leaf.inc()
-                    continue
-                previous = candidates.get(key)
-                if previous is None or bound < previous:
-                    candidates[key] = bound
-
     def _leaf_pair_bound(
         self,
         source_id: int,
@@ -1219,9 +1016,7 @@ class IMGRNEngine:
 
         Combines the pivot bound (embedded coordinates only, Section 4.2)
         with the Markov bound on the true distance (Lemma 4); both are
-        sound, so their minimum is. Takes raw values (not
-        :class:`LeafEntry` objects) so the object-tree and array-store
-        leaf scans share it.
+        sound, so their minimum is.
         """
         d = self.config.num_pivots
         xs = point_s[0 : 2 * d : 2]
@@ -1289,19 +1084,6 @@ class IMGRNEngine:
                 continue
             survivors.append((source, upper))
         return survivors
-
-    def _gene_holders(self, gene_ids: tuple[int, ...]) -> list[int]:
-        """Sorted sources holding every gene, off the fastest exact path.
-
-        The array-backed view answers from its compacted leaf-entry rows
-        (one vectorized pass, see
-        :meth:`repro.index.arraystore.ArrayStore.sources_with_genes`);
-        engines without one fall back to the inverted file's exact sets.
-        Both are exact, so the result is representation-independent.
-        """
-        if self.array_index is not None:
-            return self.array_index.sources_with_genes(gene_ids)
-        return self._sources_with_all_genes(gene_ids)
 
     def _sources_with_all_genes(self, gene_ids: tuple[int, ...]) -> list[int]:
         """Indexed sources containing every query gene.

@@ -30,6 +30,9 @@ from ..data.organisms import ORGANISMS, generate_organism_matrix
 from ..data.queries import generate_query_workload
 from ..data.synthetic import generate_database
 from ..errors import ValidationError
+from ..index.arraystore import ArrayStore
+from ..index.pagemanager import PageManager
+from ..index.rstartree import RStarTree
 from .counters import aggregate_stats
 from .roc import ROCCurve, default_thresholds, roc_curve_from_scores
 
@@ -49,6 +52,8 @@ __all__ = [
     "vary_matrix_size",
     "vary_database_size",
     "index_construction",
+    "index_build_row",
+    "rstar_reference_index",
 ]
 
 
@@ -536,12 +541,73 @@ def vary_database_size(
 # ----------------------------------------------------------------------
 # Figure 13: index construction time
 # ----------------------------------------------------------------------
+def rstar_reference_index(
+    engine: IMGRNEngine,
+) -> tuple[ArrayStore, PageManager, float]:
+    """The paper's Section 5.1 build over a built engine's embedded points.
+
+    Inserts the points one at a time, in database order, into the
+    reference :class:`RStarTree` (full R* insertion), finalizes it and
+    compacts it into the engine's array layout. Returns ``(store, pages,
+    insert_seconds)``; installing ``store`` and ``pages`` as the engine's
+    ``array_index`` / ``pages`` queries the R*-inserted index instead.
+    """
+    points, gene_ids, source_ids, payloads = engine.index_points()
+    pages = PageManager()
+    started = time.perf_counter()
+    tree = RStarTree(
+        dim=points.shape[1],
+        max_entries=engine.config.rstar_max_entries,
+        pages=pages,
+        bitvector_bits=engine.config.bitvector_bits,
+    )
+    for row in range(points.shape[0]):
+        tree.insert(
+            points[row], int(gene_ids[row]), int(source_ids[row]), int(payloads[row])
+        )
+    tree.finalize()
+    seconds = time.perf_counter() - started
+    return ArrayStore.from_tree(tree), pages, seconds
+
+
+def index_build_row(
+    database: GeneFeatureDatabase, seed: int, dataset: str, sweep: str
+) -> dict:
+    """One Fig.-13 data point: the engine build plus the R* reference.
+
+    ``build_seconds`` is the engine's build (embed + STR pack). The
+    paper builds by one-at-a-time R* insertion; the row also times that
+    reference over the same embedded points (``rstar_insert_seconds``,
+    ``rstar_pages``) next to the pack alone (``pack_seconds``).
+    """
+    engine = IMGRNEngine(database, EngineConfig(seed=seed))
+    seconds = engine.build()
+    started = time.perf_counter()
+    ArrayStore.pack(
+        *engine.index_points(),
+        max_entries=engine.config.rstar_max_entries,
+        bitvector_bits=engine.config.bitvector_bits,
+    )
+    pack_seconds = time.perf_counter() - started
+    _store, rstar_pages, rstar_seconds = rstar_reference_index(engine)
+    return {
+        "dataset": dataset,
+        "sweep": sweep,
+        "build_seconds": seconds,
+        "index_pages": float(engine.pages.num_pages),
+        "pack_seconds": pack_seconds,
+        "rstar_insert_seconds": rstar_seconds,
+        "rstar_pages": float(rstar_pages.num_pages),
+    }
+
+
 def index_construction(
     ranges: tuple[tuple[int, int], ...] = ((10, 20), (20, 50), (50, 100)),
     sizes: tuple[int, ...] = (50, 100, 200),
     seed: int = 7,
 ) -> ExperimentResult:
-    """Fig. 13(a-b): index build time vs ``[n_min, n_max]`` and vs ``N``."""
+    """Fig. 13(a-b): index build time vs ``[n_min, n_max]`` and vs ``N``
+    (rows from :func:`index_build_row`)."""
     result = ExperimentResult(name="fig13_index_build", x_label="sweep")
     for weights in ("uni", "gau"):
         for genes_range in ranges:
@@ -549,28 +615,19 @@ def index_construction(
                 SyntheticConfig(weights=weights, genes_range=genes_range, seed=seed),
                 DEFAULTS.n_matrices // 2,
             )
-            engine = IMGRNEngine(database, EngineConfig(seed=seed))
-            seconds = engine.build()
             result.rows.append(
-                {
-                    "dataset": weights,
-                    "sweep": f"range[{genes_range[0]},{genes_range[1]}]",
-                    "build_seconds": seconds,
-                    "index_pages": float(engine.pages.num_pages),
-                }
+                index_build_row(
+                    database,
+                    seed,
+                    weights,
+                    f"range[{genes_range[0]},{genes_range[1]}]",
+                )
             )
         for n_matrices in sizes:
             database = generate_database(
                 SyntheticConfig(weights=weights, seed=seed), n_matrices
             )
-            engine = IMGRNEngine(database, EngineConfig(seed=seed))
-            seconds = engine.build()
             result.rows.append(
-                {
-                    "dataset": weights,
-                    "sweep": f"N={n_matrices}",
-                    "build_seconds": seconds,
-                    "index_pages": float(engine.pages.num_pages),
-                }
+                index_build_row(database, seed, weights, f"N={n_matrices}")
             )
     return result

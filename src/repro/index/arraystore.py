@@ -1,15 +1,16 @@
-"""Zero-copy array-backed view of a finalized R*-tree.
+"""The IM-GRN index as contiguous arrays: built, checked, saved, mapped.
 
-The object tree (:class:`~repro.index.rstartree.RStarTree`) is the *write*
-path: R* insertion heuristics, forced reinsert, deletion. Once
-``finalize()`` has run, the whole structure is immutable until the next
-mutation -- which is exactly the shape that wants a structure-of-arrays
-layout instead of Python pointer chasing. :class:`ArrayStore` compacts the
-tree into contiguous NumPy arrays (breadth-first node order, so every
-node's children occupy one contiguous index range) and persists them as
-raw ``.npy`` files that reload through ``np.load(..., mmap_mode="r")``:
-N worker processes then share a single page-cache copy of the index and
-"loading" the index is an ``mmap`` call, not an unpickle.
+:meth:`ArrayStore.pack` is the index's write path. It bulk-loads the
+embedded gene points with one vectorized sort-tile-recursive (STR) pass,
+gene-ID axis first, and emits the arrays below directly -- no node
+objects. Index mutations re-pack. :meth:`ArrayStore.from_tree` compacts
+the reference :class:`~repro.index.rstartree.RStarTree` (the paper's
+one-at-a-time R* insertion) into the same layout. Nodes are stored in
+breadth-first order, so every node's children occupy one contiguous
+index range, and the arrays persist as raw ``.npy`` files that reload
+through ``np.load(..., mmap_mode="r")``: N worker processes then share a
+single page-cache copy of the index and "loading" the index is an
+``mmap`` call, not an unpickle.
 
 Layout (``N`` nodes, ``P`` leaf entries, ``dim = 2d+1``, ``W`` signature
 words of 64 bits):
@@ -23,8 +24,8 @@ node_levels        <i4 (N,)    tree level (0 == leaf)
 node_child_start   <i8 (N,)    first child node index (internal) or
                                first entry row (leaf)
 node_child_count   <i8 (N,)    number of children / leaf entries
-node_page_ids      <i8 (N,)    original page IDs (I/O accounting stays
-                               bit-identical to the object tree)
+node_page_ids      <i8 (N,)    page IDs (one node == one page for I/O
+                               accounting)
 node_vf_words      <u8 (N,W)   gene-ID signature ``V_f``, little-endian
                                64-bit words
 node_vd_words      <u8 (N,W)   source-ID signature ``V_d``
@@ -34,27 +35,31 @@ entry_source_ids   <i8 (P,)    source (matrix) ID per entry
 entry_payloads     <i8 (P,)    opaque engine payload per entry
 ================== ========== =========================================
 
-The store is a read-path *view*: queries over it return bit-identical
-answers, page-access counts and pruning counters to the object tree
-(asserted by ``tests/test_arraystore.py``). Mutations go through the
-object tree, which is then re-compacted.
+The R*-tree is only a filter under sound signature and Lemma-6 bounds,
+so any valid packing returns the same answers; :meth:`check_invariants`
+verifies that a store is one.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 
 from ..errors import ValidationError
+from .bitvector import hash_bit
+from .invertedfile import SOURCE_SALT
+from .pagemanager import PageManager
 
 __all__ = [
     "ArrayStore",
     "int_to_words",
     "words_to_int",
     "signature_words",
+    "min_fill",
     "min_dist_many",
 ]
 
@@ -81,6 +86,17 @@ _ARRAY_SPECS: dict[str, tuple[str, bool]] = {
     "entry_source_ids": ("<i8", False),
     "entry_payloads": ("<i8", False),
 }
+
+#: The per-node arrays :meth:`ArrayStore.pack` assembles level by level.
+_NODE_ARRAYS = (
+    "node_lows",
+    "node_highs",
+    "node_levels",
+    "node_child_start",
+    "node_child_count",
+    "node_vf_words",
+    "node_vd_words",
+)
 
 
 def int_to_words(value: int, words: int) -> np.ndarray:
@@ -110,14 +126,100 @@ def signature_words(bitvector_bits: int) -> int:
     return max(1, (int(bitvector_bits) + 63) // 64)
 
 
-class ArrayStore:
-    """Structure-of-arrays compaction of a finalized R*-tree.
+def min_fill(max_entries: int) -> int:
+    """The R*-tree lower fan-out bound ``m`` (``0.4 * M``, at least 2)."""
+    return max(2, int(round(0.4 * max_entries)))
 
-    Construct with :meth:`from_tree` (compaction) or :meth:`load`
-    (mmap reload); the raw-array constructor is for those two paths.
-    Node index 0 is always the root; children of node ``i`` are nodes
+
+def _signature_rows(values: np.ndarray, bits: int, words: int, salt: int = 0):
+    """One ``(len(values), words)`` row of signature words per value."""
+    unique, inverse = np.unique(values, return_inverse=True)
+    positions = np.array(
+        [hash_bit(int(v), bits, salt) for v in unique], dtype=np.int64
+    )[inverse]
+    rows = np.zeros((values.shape[0], words), dtype="<u8")
+    rows[np.arange(values.shape[0]), positions // 64] = np.left_shift(
+        np.uint64(1), (positions % 64).astype(np.uint64)
+    )
+    return rows
+
+
+def _str_groups(keys: np.ndarray, capacity: int, minimum: int):
+    """Sort-Tile-Recursive grouping of ``keys`` rows, gene axis first.
+
+    Returns ``(order, sizes)``: page ``j`` holds rows
+    ``order[offset_j : offset_j + sizes[j]]``. Rows are stably sorted
+    along the last axis (the gene ID), cut into slabs, and each slab is
+    tiled recursively along axes ``0, 1, ...``. Slab boundaries can leave
+    undersized pages anywhere; each one is merged into its left
+    neighbour (the right one for the first page), splitting the union in
+    half when it would overflow. Because ``m <= 0.4 M`` both halves of
+    an overflowing union meet the bound, so every page of a multi-page
+    level ends in ``[m, M]``.
+    """
+    dim = keys.shape[1]
+    axis_order = [dim - 1] + list(range(dim - 1))
+    runs: list[np.ndarray] = []
+    sizes: list[int] = []
+
+    def tile(rows: np.ndarray, depth: int) -> None:
+        n = rows.shape[0]
+        if n <= capacity:
+            runs.append(rows)
+            sizes.append(n)
+            return
+        rows = rows[np.argsort(keys[rows, axis_order[depth]], kind="stable")]
+        if depth >= dim - 1:
+            pages = [capacity] * (n // capacity)
+            if n % capacity:
+                pages.append(n % capacity)
+            if len(pages) >= 2 and pages[-1] < minimum:
+                # Even out an undersized tail page with its predecessor.
+                merged = pages[-2] + pages[-1]
+                pages[-2:] = [merged // 2, merged - merged // 2]
+            runs.append(rows)
+            sizes.extend(pages)
+            return
+        remaining = dim - depth
+        slabs = max(
+            1, math.ceil(math.ceil(n / capacity) ** ((remaining - 1) / remaining))
+        )
+        slab_size = math.ceil(n / slabs)
+        for start in range(0, n, slab_size):
+            tile(rows[start : start + slab_size], depth + 1)
+
+    tile(np.arange(keys.shape[0]), 0)
+    index = 0
+    while len(sizes) > 1 and index < len(sizes):
+        if sizes[index] >= minimum:
+            index += 1
+            continue
+        index = max(index - 1, 0)
+        merged = sizes[index] + sizes[index + 1]
+        if merged > capacity:
+            sizes[index : index + 2] = [merged // 2, merged - merged // 2]
+        else:
+            sizes[index : index + 2] = [merged]
+    return np.concatenate(runs), np.asarray(sizes, dtype=np.int64)
+
+
+def _segment_rows(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenate ``arange(start, start + count)`` over every segment."""
+    offsets = np.cumsum(counts) - counts
+    return np.repeat(starts - offsets, counts) + np.arange(int(counts.sum()))
+
+
+class ArrayStore:
+    """The R*-tree index as a structure of arrays.
+
+    Construct with :meth:`pack` (STR bulk load), :meth:`from_tree`
+    (compaction of the reference R*-tree) or :meth:`load` (mmap reload);
+    the raw-array constructor is for those paths. Node index 0 is always
+    the root; children of node ``i`` are nodes
     ``child_start[i] .. child_start[i] + child_count[i]`` (internal) or
-    entry rows in the same range (leaf).
+    entry rows in the same range (leaf). ``max_entries`` is the fan-out
+    bound ``M`` the store was built under (``None`` for snapshots saved
+    before it was recorded).
     """
 
     __slots__ = (
@@ -126,6 +228,7 @@ class ArrayStore:
         "sig_words",
         "height",
         "pages_allocated",
+        "max_entries",
         "node_lows",
         "node_highs",
         "node_levels",
@@ -148,18 +251,146 @@ class ArrayStore:
         height: int,
         pages_allocated: int,
         arrays: dict[str, np.ndarray],
+        max_entries: int | None = None,
     ):
         self.dim = int(dim)
         self.bitvector_bits = int(bitvector_bits)
         self.sig_words = signature_words(bitvector_bits)
         self.height = int(height)
         self.pages_allocated = int(pages_allocated)
+        self.max_entries = None if max_entries is None else int(max_entries)
         for name in _ARRAY_SPECS:
             setattr(self, name, arrays[name])
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
+    @classmethod
+    def pack(
+        cls,
+        points,
+        gene_ids,
+        source_ids,
+        payloads,
+        *,
+        max_entries: int,
+        bitvector_bits: int,
+        pages: PageManager | None = None,
+    ) -> "ArrayStore":
+        """Sort-Tile-Recursive bulk load straight into the array layout.
+
+        Leaves tile the points and each internal level tiles its
+        children's MBR centers, the gene-ID axis (the last coordinate)
+        first: the traversal's anchor/neighbour range checks are exact on
+        it, so clustering it keeps subtrees gene-tight. MBRs and
+        ``V_f``/``V_d`` signatures come from ``reduceat`` over each
+        level's contiguous child runs. Nodes get consecutive page IDs from
+        ``pages`` in breadth-first order. The store depends only on the
+        input rows and their order.
+
+        Raises
+        ------
+        ValidationError
+            If the columns disagree in length, a point is not finite (a
+            NaN coordinate fails every range test and would silently
+            vanish from every search), or ``max_entries < 4``.
+        """
+        points = np.asarray(points, dtype=np.float64)
+        if points.ndim != 2 or points.shape[1] < 1:
+            raise ValidationError(
+                f"points must be a (count, dim) array, got shape {points.shape}"
+            )
+        count, dim = points.shape
+        genes, sources, payload_col = (
+            np.asarray(column, dtype=np.int64)
+            for column in (gene_ids, source_ids, payloads)
+        )
+        for name, column in (
+            ("gene_ids", genes),
+            ("source_ids", sources),
+            ("payloads", payload_col),
+        ):
+            if column.shape != (count,):
+                raise ValidationError(
+                    f"{name} has shape {column.shape}, expected ({count},)"
+                )
+        if not np.isfinite(points).all():
+            raise ValidationError("points contain NaN/inf coordinates")
+        if max_entries < 4:
+            raise ValidationError(f"max_entries must be >= 4, got {max_entries}")
+        if pages is None:
+            pages = PageManager()
+        words = signature_words(bitvector_bits)
+        minimum = min_fill(max_entries)
+
+        # Bottom-up: per level, the child order, the node starts (runs of
+        # that order) and the nodes' boxes and signatures, in packing order.
+        if count:
+            lows = highs = keys = points
+            vf = _signature_rows(genes, bitvector_bits, words)
+            vd = _signature_rows(sources, bitvector_bits, words, SOURCE_SALT)
+            levels = []
+            while not levels or lows.shape[0] > 1:
+                order, sizes = _str_groups(keys, max_entries, minimum)
+                starts = np.cumsum(sizes) - sizes
+                lows = np.minimum.reduceat(lows[order], starts)
+                highs = np.maximum.reduceat(highs[order], starts)
+                vf = np.bitwise_or.reduceat(vf[order], starts)
+                vd = np.bitwise_or.reduceat(vd[order], starts)
+                levels.append((order, starts, lows, highs, vf, vd))
+                keys = (lows + highs) * 0.5
+        else:  # an empty index is one empty leaf root
+            box = np.zeros((1, dim))
+            signatures = np.zeros((1, words), dtype="<u8")
+            no_rows, one_start = np.zeros(0, np.int64), np.zeros(1, np.int64)
+            levels = [(no_rows, one_start, box, box, signatures, signatures)]
+
+        # Top-down breadth-first layout: ``bfs`` holds one level's nodes
+        # (packing indices) in layout order; their children follow as the
+        # next level's block, so each node's children are one index range.
+        parts: dict[str, list[np.ndarray]] = {name: [] for name in _NODE_ARRAYS}
+        bfs = np.zeros(1, dtype=np.int64)
+        placed = 0
+        for level in range(len(levels) - 1, -1, -1):
+            order, starts, lows, highs, vf, vd = levels[level]
+            sizes = np.diff(np.append(starts, order.shape[0]))
+            counts = sizes[bfs]
+            first_child = np.cumsum(counts) - counts
+            if level:
+                first_child += placed + bfs.shape[0]
+            parts["node_lows"].append(lows[bfs])
+            parts["node_highs"].append(highs[bfs])
+            parts["node_levels"].append(np.full(bfs.shape[0], level, dtype="<i4"))
+            parts["node_child_start"].append(first_child)
+            parts["node_child_count"].append(counts)
+            parts["node_vf_words"].append(vf[bfs])
+            parts["node_vd_words"].append(vd[bfs])
+            placed += bfs.shape[0]
+            bfs = order[_segment_rows(starts[bfs], counts)]
+        first_page = pages.num_pages
+        pages.reserve(first_page + placed)
+        arrays = {
+            name: np.ascontiguousarray(
+                np.concatenate(parts[name]), dtype=_ARRAY_SPECS[name][0]
+            )
+            for name in _NODE_ARRAYS
+        }
+        arrays["node_page_ids"] = np.arange(
+            first_page, first_page + placed, dtype="<i8"
+        )
+        arrays["entry_points"] = np.ascontiguousarray(points[bfs])
+        arrays["entry_gene_ids"] = genes[bfs]
+        arrays["entry_source_ids"] = sources[bfs]
+        arrays["entry_payloads"] = payload_col[bfs]
+        return cls(
+            dim=dim,
+            bitvector_bits=bitvector_bits,
+            height=len(levels),
+            pages_allocated=pages.num_pages,
+            arrays=arrays,
+            max_entries=max_entries,
+        )
+
     @classmethod
     def from_tree(cls, tree) -> "ArrayStore":
         """Compact a finalized :class:`RStarTree` into contiguous arrays.
@@ -229,6 +460,7 @@ class ArrayStore:
             height=tree.height,
             pages_allocated=tree.pages.num_pages,
             arrays=arrays,
+            max_entries=tree.max_entries,
         )
 
     # ------------------------------------------------------------------
@@ -273,6 +505,95 @@ class ArrayStore:
             digest.update(np.ascontiguousarray(getattr(self, name)).tobytes())
         return digest.hexdigest()
 
+    def check_invariants(self) -> None:
+        """Validate the structure with whole-array checks.
+
+        Checks that child ranges are in bounds and claim every node and
+        entry exactly once, that levels step down by one to leaves at 0,
+        that every node's MBR is the tight box of its children (so each
+        child box and leaf point lies inside its parent), that every
+        ``V_f``/``V_d`` signature covers its children's (and a leaf's its
+        entries' gene/source bits), and that every non-root node has
+        fan-out in ``[m, M]`` and the root at most ``M`` (fan-out is
+        skipped only when ``max_entries`` is unknown).
+
+        Raises
+        ------
+        ValidationError
+            On the first violated invariant.
+        """
+
+        def fail(message: str) -> None:
+            raise ValidationError(f"array index invariant violated: {message}")
+
+        nodes, entries = self.num_nodes, self.num_entries
+        if nodes == 0:
+            fail("no root node")
+        levels = self.node_levels.astype(np.int64)
+        starts = self.node_child_start.astype(np.int64)
+        counts = self.node_child_count.astype(np.int64)
+        leaf = levels == 0
+        if levels[0] != self.height - 1 or (levels < 0).any():
+            fail(f"root level {levels[0]} does not match height {self.height}")
+        if (counts < 0).any() or (starts < 0).any():
+            fail("negative child range")
+        limit = np.where(leaf, entries, nodes)
+        if (starts + counts > limit).any():
+            fail("child range out of bounds")
+        if int(counts[~leaf].sum()) != nodes - 1 or int(counts[leaf].sum()) != entries:
+            fail("child ranges do not cover every node and entry")
+        internal = np.nonzero(~leaf)[0]
+        leaves = np.nonzero(leaf)[0]
+        children = _segment_rows(starts[internal], counts[internal])
+        parent = np.repeat(internal, counts[internal])
+        rows = _segment_rows(starts[leaves], counts[leaves])
+        owner = np.repeat(leaves, counts[leaves])
+        # With the totals above, one claim per non-root node leaves the
+        # root unclaimed.
+        if (np.bincount(children, minlength=nodes)[1:] != 1).any():
+            fail("a node is claimed by no parent or by several")
+        if (np.bincount(rows, minlength=entries) != 1).any():
+            fail("an entry is claimed by no leaf or by several")
+        if (levels[children] != levels[parent] - 1).any():
+            fail("child level is not its parent's level minus one")
+
+        # Tight MBRs: each node's box is exactly the union of its children.
+        lows = np.full((nodes, self.dim), np.inf)
+        highs = np.full((nodes, self.dim), -np.inf)
+        np.minimum.at(lows, parent, self.node_lows[children])
+        np.maximum.at(highs, parent, self.node_highs[children])
+        np.minimum.at(lows, owner, self.entry_points[rows])
+        np.maximum.at(highs, owner, self.entry_points[rows])
+        filled = counts > 0
+        if not (
+            np.array_equal(lows[filled], self.node_lows[filled])
+            and np.array_equal(highs[filled], self.node_highs[filled])
+        ):
+            fail("a node MBR is not the tight box of its children")
+
+        # Signatures: every parent covers its children's bits.
+        words = self.sig_words
+        entry_vf = _signature_rows(self.entry_gene_ids, self.bitvector_bits, words)
+        entry_vd = _signature_rows(
+            self.entry_source_ids, self.bitvector_bits, words, SOURCE_SALT
+        )
+        for name, node_words, entry_words in (
+            ("V_f", self.node_vf_words, entry_vf),
+            ("V_d", self.node_vd_words, entry_vd),
+        ):
+            if (node_words[children] & ~node_words[parent]).any() or (
+                entry_words[rows] & ~node_words[owner]
+            ).any():
+                fail(f"a child {name} signature escapes its parent's")
+
+        if self.max_entries is not None:
+            low, high = min_fill(self.max_entries), self.max_entries
+            if counts[0] > high:
+                fail(f"root fan-out {counts[0]} exceeds {high}")
+            fan_out = counts[1:]
+            if ((fan_out < low) | (fan_out > high)).any():
+                fail(f"a node fan-out lies outside [{low}, {high}]")
+
     # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------
@@ -292,6 +613,7 @@ class ArrayStore:
             "sig_words": self.sig_words,
             "height": self.height,
             "pages_allocated": self.pages_allocated,
+            "max_entries": self.max_entries,
             "num_nodes": self.num_nodes,
             "num_entries": self.num_entries,
             "fingerprint": self.fingerprint(),
@@ -353,10 +675,12 @@ class ArrayStore:
             height=int(header["height"]),
             pages_allocated=int(header["pages_allocated"]),
             arrays=arrays,
+            max_entries=header.get("max_entries"),
         )
 
     # ------------------------------------------------------------------
-    # Traversal (read-path mirrors of the object tree's oracle methods)
+    # Range search and kNN (visit order and page charges match the
+    # reference RStarTree on a compacted tree)
     # ------------------------------------------------------------------
     def _is_empty(self) -> bool:
         return self.num_nodes == 0 or (

@@ -6,21 +6,26 @@ least-overlap-enlargement subtree choice at the leaf level, forced
 reinsertion of the 30% most distant entries on first overflow per level,
 and the topological choose-axis / choose-index split otherwise.
 
-After bulk loading, :meth:`RStarTree.finalize` computes the ``V_f`` /
-``V_d`` bit-vector signatures bottom-up (the paper's node-level bit-ORs).
-Each node is one page; the :class:`~repro.index.pagemanager.PageManager`
+After loading, :meth:`RStarTree.finalize` computes the ``V_f`` / ``V_d``
+bit-vector signatures bottom-up (the paper's node-level bit-ORs). Each
+node is one page; the :class:`~repro.index.pagemanager.PageManager`
 records node reads so queries report I/O exactly as the paper does.
+
+This is the reference implementation of the paper's build (Fig. 13 and
+the bulk-load ablation time it); the engine itself packs its index with
+:meth:`repro.index.arraystore.ArrayStore.pack`, and
+:meth:`~repro.index.arraystore.ArrayStore.from_tree` compacts a finalized
+tree into the same array layout.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterator
 
 import numpy as np
 
 from ..errors import InternalError, ValidationError
-from .arraystore import min_dist_many
+from .arraystore import min_dist_many, min_fill
 from .bitvector import signature
 from .invertedfile import SOURCE_SALT
 from .mbr import MBR
@@ -64,7 +69,7 @@ class RStarTree:
             raise ValidationError(f"max_entries must be >= 4, got {max_entries}")
         self.dim = dim
         self.max_entries = max_entries
-        self.min_entries = max(2, int(round(0.4 * max_entries)))
+        self.min_entries = min_fill(max_entries)
         self.pages = pages if pages is not None else PageManager()
         self.bitvector_bits = bitvector_bits
         self.root = self._new_node(level=0)
@@ -112,188 +117,10 @@ class RStarTree:
         self._insert_at_level(entry, level=0)
         self._size += 1
 
-    def bulk_load(
-        self, entries: list[LeafEntry], axis_order: list[int] | None = None
-    ) -> None:
-        """Sort-Tile-Recursive (STR) bulk loading [Leutenegger et al.].
-
-        Packs all entries into full leaves in one pass and builds internal
-        levels bottom-up: recursively slice the point set into slabs along
-        each axis in ``axis_order``, then tile each slab. Produces a
-        near-full-utilization tree roughly an order of magnitude faster
-        than one-at-a-time R* insertion, at slightly worse query-time node
-        quality -- the trade-off the ``bench_ablation_bulkload`` benchmark
-        quantifies.
-
-        Parameters
-        ----------
-        axis_order:
-            Dimension priority for the slab recursion (default: natural
-            order). Tiling the most query-discriminative axis first keeps
-            its value ranges tight per subtree; the IM-GRN engine passes
-            the gene-ID dimension first.
-
-        Only valid on an empty, unfinalized tree.
-        """
-        if self._finalized:
-            raise ValidationError("cannot bulk load a finalized tree")
-        if self._size > 0:
-            raise ValidationError("bulk load requires an empty tree")
-        if not entries:
-            return
-        for entry in entries:
-            if entry.point.shape != (self.dim,):
-                raise ValidationError(
-                    f"point shape {entry.point.shape} does not match dim "
-                    f"{self.dim}"
-                )
-            if not np.all(np.isfinite(entry.point)):
-                raise ValidationError(
-                    "bulk_load entry contains NaN/inf coordinates: "
-                    f"{entry.point.tolist()}"
-                )
-        if axis_order is None:
-            axis_order = list(range(self.dim))
-        if sorted(axis_order) != list(range(self.dim)):
-            raise ValidationError(
-                f"axis_order must be a permutation of 0..{self.dim - 1}, "
-                f"got {axis_order}"
-            )
-        leaves = self._str_pack_leaves(entries, axis_order)
-        level = 0
-        nodes = leaves
-        while len(nodes) > 1:
-            level += 1
-            nodes = self._str_pack_internal(nodes, level, axis_order)
-        self.root = nodes[0]
-        self.root.parent = None
-        self._size = len(entries)
-
-    def _str_pack_leaves(
-        self, entries: list[LeafEntry], axis_order: list[int]
-    ) -> list[Node]:
-        groups = self._fix_undersized(
-            self._str_tile([e.point for e in entries], entries, 0, axis_order)
-        )
-        leaves = []
-        for group in groups:
-            leaf = self._new_node(level=0)
-            leaf.entries = group
-            leaf.recompute_mbr()
-            leaves.append(leaf)
-        return leaves
-
-    def _str_pack_internal(
-        self, children: list[Node], level: int, axis_order: list[int]
-    ) -> list[Node]:
-        centers = [c.mbr.center() for c in children]
-        groups = self._fix_undersized(
-            self._str_tile(centers, children, 0, axis_order)
-        )
-        nodes = []
-        for group in groups:
-            node = self._new_node(level=level)
-            node.entries = group
-            for child in group:
-                child.parent = node
-            node.recompute_mbr()
-            nodes.append(node)
-        return nodes
-
-    def _str_tile(
-        self,
-        keys: list[np.ndarray],
-        items: list,
-        depth: int,
-        axis_order: list[int],
-    ) -> list[list]:
-        """Recursively slab-and-tile ``items`` by their ``keys``."""
-        capacity = self.max_entries
-        n = len(items)
-        if n <= capacity:
-            return [list(items)]
-        axis = axis_order[depth]
-        order = sorted(range(n), key=lambda i: float(keys[i][axis]))
-        if depth >= self.dim - 1:
-            groups = [
-                [items[i] for i in order[start : start + capacity]]
-                for start in range(0, n, capacity)
-            ]
-            return self._rebalance_tail(groups)
-        num_pages = math.ceil(n / capacity)
-        remaining_axes = self.dim - depth
-        slabs = max(
-            1, math.ceil(num_pages ** ((remaining_axes - 1) / remaining_axes))
-        )
-        slab_size = math.ceil(n / slabs) if slabs else n
-        groups: list[list] = []
-        for start in range(0, n, slab_size):
-            slab_indices = order[start : start + slab_size]
-            slab_keys = [keys[i] for i in slab_indices]
-            slab_items = [items[i] for i in slab_indices]
-            groups.extend(
-                self._str_tile(slab_keys, slab_items, depth + 1, axis_order)
-            )
-        return groups
-
-    def _rebalance_tail(self, groups: list[list]) -> list[list]:
-        """Fix an undersized trailing page by evening out the last two.
-
-        Plain STR can leave the final page below the ``m`` fan-out bound;
-        splitting the union of the last two pages in half restores the
-        invariant without overflowing either.
-        """
-        if len(groups) >= 2 and len(groups[-1]) < self.min_entries:
-            merged = groups[-2] + groups[-1]
-            half = len(merged) // 2
-            groups[-2] = merged[:half]
-            groups[-1] = merged[half:]
-        return groups
-
-    def _fix_undersized(self, groups: list[list]) -> list[list]:
-        """Ensure every page (except a lone root) meets the ``m`` bound.
-
-        Slab boundaries can leave undersized pages anywhere in the list;
-        each one is merged into an adjacent page, splitting the union in
-        half when it would overflow. Because ``m <= 0.4 M``, both halves
-        of an overflowing union always satisfy the bound, so the loop
-        terminates with every page in ``[m, M]``.
-        """
-        while len(groups) > 1:
-            index = next(
-                (
-                    i
-                    for i, group in enumerate(groups)
-                    if len(group) < self.min_entries
-                ),
-                None,
-            )
-            if index is None:
-                return groups
-            neighbor = index - 1 if index > 0 else index + 1
-            merged = groups[min(index, neighbor)] + groups[max(index, neighbor)]
-            del groups[max(index, neighbor)]
-            if len(merged) > self.max_entries:
-                half = len(merged) // 2
-                groups[min(index, neighbor)] = merged[:half]
-                groups.insert(min(index, neighbor) + 1, merged[half:])
-            else:
-                groups[min(index, neighbor)] = merged
-        return groups
-
     def finalize(self) -> None:
         """Compute ``V_f`` / ``V_d`` signatures bottom-up and freeze the tree."""
         self._compute_signatures(self.root)
         self._finalized = True
-
-    def reopen(self) -> None:
-        """Allow further insertions after :meth:`finalize`.
-
-        Node signatures become stale the moment a new point lands; callers
-        must :meth:`finalize` again before querying (the engine's
-        ``add_matrix`` does exactly that).
-        """
-        self._finalized = False
 
     def delete(self, payload: int) -> bool:
         """Remove the leaf entry carrying ``payload``; returns found-ness.

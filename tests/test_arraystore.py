@@ -1,10 +1,12 @@
-"""Zero-copy array store: compaction, persistence, read-path equivalence.
+"""Array index: STR packing, structural checks, persistence, answers.
 
-The contract under test: the array-backed view of a finalized R*-tree --
-in memory, saved to disk, or reloaded via ``np.memmap`` -- answers every
-read path (range search, kNN, the full IM-GRN traversal) bit-identically
-to the object tree: same answers, same probabilities, same page-access
-counts, same per-stage pruning counters.
+The contracts under test: :meth:`ArrayStore.pack` emits a structurally
+valid index (``check_invariants``) that depends only on its input rows;
+a compacted reference R*-tree (``from_tree``) answers range and kNN
+searches exactly like the tree; and the engine's index -- built,
+maintained by add/remove, or reloaded via ``np.memmap`` -- has the
+fingerprint of a fresh build over the same sources and answers every
+workload kind exactly like brute-force ``find_embeddings``.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from repro.config import (
 )
 from repro.core.persistence import load_engine_sharded, save_engine_sharded
 from repro.core.query import IMGRNEngine
+from repro.data.database import GeneFeatureDatabase
 from repro.data.queries import generate_query_workload
 from repro.data.synthetic import generate_database
 from repro.errors import IndexNotBuiltError, ValidationError
@@ -29,6 +32,7 @@ from repro.index.arraystore import (
     ArrayStore,
     int_to_words,
     min_dist_many,
+    min_fill,
     signature_words,
     words_to_int,
 )
@@ -36,16 +40,24 @@ from repro.index.mbr import MBR
 from repro.index.pagemanager import PageManager
 from repro.index.rstartree import RStarTree
 
+from test_refine import ENGINE_NAMES, _brute_force, _make_engine, _spec
+
 SEED = 11
 
 
-def _config(use_array_index: bool = True) -> EngineConfig:
+def _config() -> EngineConfig:
     return EngineConfig(
         seed=SEED,
-        use_array_index=use_array_index,
         build=BuildConfig(workers=0, shard_size=3),
         observability=ObservabilityConfig(shared_registry=False),
     )
+
+
+def _database_of(matrices) -> GeneFeatureDatabase:
+    database = GeneFeatureDatabase()
+    for matrix in matrices:
+        database.add(matrix)
+    return database
 
 
 def _answers(engine, queries) -> list[tuple]:
@@ -87,17 +99,24 @@ def queries(database):
 
 
 @pytest.fixture(scope="module")
-def object_engine(database):
-    engine = IMGRNEngine(database, _config(use_array_index=False))
-    engine.build()
-    return engine
-
-
-@pytest.fixture(scope="module")
 def array_engine(database):
-    engine = IMGRNEngine(database, _config(use_array_index=True))
+    engine = IMGRNEngine(database, _config())
     engine.build()
     return engine
+
+
+def _packed(points, max_entries=8, bits=128, pages=None):
+    """Pack ``points`` with gene = row % 17, source = row % 5, payload = row."""
+    rows = np.arange(points.shape[0])
+    return ArrayStore.pack(
+        points,
+        rows % 17,
+        rows % 5,
+        rows,
+        max_entries=max_entries,
+        bitvector_bits=bits,
+        pages=pages,
+    )
 
 
 @pytest.fixture()
@@ -306,24 +325,168 @@ class TestPersistence:
         assert store.fingerprint() == before
 
 
+class TestPack:
+    @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 64, 500])
+    def test_valid_at_many_sizes(self, rng, n):
+        store = _packed(rng.normal(size=(n, 4)))
+        store.check_invariants()
+        assert store.num_entries == n
+        assert sorted(store.entry_payloads.tolist()) == list(range(n))
+        assert store.node_page_ids.tolist() == list(range(store.num_nodes))
+        assert store.pages_allocated == store.num_nodes
+
+    def test_deterministic_in_rows(self, rng):
+        points = rng.normal(size=(300, 5))
+        assert _packed(points).fingerprint() == _packed(points).fingerprint()
+
+    def test_pages_come_from_the_manager(self, rng):
+        pages = PageManager()
+        pages.reserve(10)
+        store = _packed(rng.normal(size=(50, 3)), pages=pages)
+        assert store.node_page_ids[0] == 10
+        assert pages.num_pages == 10 + store.num_nodes
+
+    def test_gene_axis_tiled_first(self, rng):
+        # Gene IDs and axis 0 span the same range; slabs cut the gene axis
+        # (the last coordinate) first, so leaves are gene-tight.
+        points = rng.uniform(0.0, 25.0, size=(400, 3))
+        points[:, -1] = np.repeat(np.arange(25), 16)
+        store = _packed(points, max_entries=16)
+        leaves = store.node_levels == 0
+        extents = store.node_highs[leaves] - store.node_lows[leaves]
+        assert extents[:, -1].mean() * 4 < extents[:, 0].mean()
+
+    def test_rejects_bad_input(self, rng):
+        points = rng.normal(size=(10, 3))
+        rows = np.arange(10)
+        with pytest.raises(ValidationError):
+            ArrayStore.pack(
+                points, rows[:9], rows, rows, max_entries=8, bitvector_bits=64
+            )
+        with pytest.raises(ValidationError):
+            ArrayStore.pack(
+                points, rows, rows, rows, max_entries=3, bitvector_bits=64
+            )
+        points[3, 1] = np.inf
+        with pytest.raises(ValidationError):
+            ArrayStore.pack(
+                points, rows, rows, rows, max_entries=8, bitvector_bits=64
+            )
+
+
+class TestCheckInvariants:
+    """Each injected fault in a valid store must be caught."""
+
+    @pytest.fixture()
+    def store(self, rng):
+        store = _packed(rng.normal(size=(300, 3)))
+        store.check_invariants()
+        assert store.height >= 3
+        return store
+
+    def test_from_tree_store_is_valid(self, tree):
+        ArrayStore.from_tree(tree).check_invariants()
+
+    def test_flipped_child_mbr_bound(self, store):
+        child = int(store.node_child_start[0])
+        store.node_lows[child, 0] -= 1.0  # escapes the root's box
+        with pytest.raises(ValidationError, match="MBR"):
+            store.check_invariants()
+
+    def test_loosened_leaf_box(self, store):
+        leaf = int(np.nonzero(store.node_levels == 0)[0][0])
+        store.node_highs[leaf, 1] += 1.0  # no longer tight over its points
+        with pytest.raises(ValidationError, match="MBR"):
+            store.check_invariants()
+
+    def test_point_outside_leaf_box(self, store):
+        store.entry_points[0, 2] += 100.0
+        with pytest.raises(ValidationError, match="MBR"):
+            store.check_invariants()
+
+    def test_cleared_signature_word(self, store):
+        store.node_vf_words[0, :] = 0  # the root no longer covers its children
+        with pytest.raises(ValidationError, match="signature"):
+            store.check_invariants()
+
+    def test_cleared_leaf_source_signature(self, store):
+        leaf = int(np.nonzero(store.node_levels == 0)[0][0])
+        store.node_vd_words[leaf, :] = 0
+        with pytest.raises(ValidationError, match="signature"):
+            store.check_invariants()
+
+    def test_overflowed_child_count(self, store):
+        store.node_child_count[0] += 1
+        with pytest.raises(ValidationError):
+            store.check_invariants()
+
+    def test_overflowed_last_leaf_count(self, store):
+        store.node_child_count[store.num_nodes - 1] += 1  # past the entries
+        with pytest.raises(ValidationError, match="bounds"):
+            store.check_invariants()
+
+    def test_fan_out_bounds(self, store):
+        counts = store.node_child_count[1:]
+        assert counts.max() > 6 and counts.min() < min_fill(16)
+        for max_entries in (6, 16):  # M too small, then m too large
+            store.max_entries = max_entries
+            with pytest.raises(ValidationError, match="fan-out"):
+                store.check_invariants()
+
+    def test_level_mismatch(self, store):
+        store.node_levels[0] += 1
+        with pytest.raises(ValidationError, match="level"):
+            store.check_invariants()
+
+    def test_min_fill_matches_tree(self):
+        for max_entries in (4, 8, 16, 50):
+            assert min_fill(max_entries) == RStarTree(
+                dim=2, max_entries=max_entries
+            ).min_entries
+
+
 class TestEngineEquivalence:
-    """Object tree vs in-memory arrays vs mmap reload: one answer set."""
+    """Build, maintenance and mmap reload: one index, exact answers."""
 
-    def test_array_engine_holds_both_views(self, array_engine, object_engine):
-        assert array_engine.array_index is not None
-        assert array_engine.tree is not None
-        assert object_engine.array_index is None
+    def test_engine_index_is_packed(self, array_engine):
+        store = array_engine.array_index
+        store.check_invariants()
+        assert not hasattr(array_engine, "tree")
+        repacked = ArrayStore.pack(
+            *array_engine.index_points(),
+            max_entries=array_engine.config.rstar_max_entries,
+            bitvector_bits=array_engine.config.bitvector_bits,
+        )
+        assert repacked.fingerprint() == store.fingerprint()
 
-    def test_array_path_bit_identical(self, object_engine, array_engine, queries):
-        assert _answers(object_engine, queries) == _answers(array_engine, queries)
-
+    @pytest.mark.parametrize("name", ENGINE_NAMES + ["imgrn_mmap"])
+    @pytest.mark.parametrize("kind", ["containment", "similarity", "topk"])
+    def test_matches_find_embeddings(
+        self, name, kind, small_database, query_workload, tmp_path
+    ):
+        config = _config().with_(mc_samples=64)
+        engine = _make_engine(name.removesuffix("_mmap"), small_database, config)
+        engine.build()
+        if name == "imgrn_mmap":
+            save_engine_sharded(engine, tmp_path / "engine")
+            engine = load_engine_sharded(tmp_path / "engine", mmap_index=True)
+        budget = 1 if kind == "similarity" else None
+        for query in query_workload:
+            result = engine.execute(_spec(query, kind, budget))
+            expected = _brute_force(
+                engine, small_database, result.query_graph, kind, budget
+            )
+            assert [(a.source_id, a.probability) for a in result.answers] == (
+                expected
+            )
     def test_mmap_reload_bit_identical(self, array_engine, queries, tmp_path):
         report = save_engine_sharded(array_engine, tmp_path / "engine")
         assert report["index_arrays"] == "written"
 
         mapped = load_engine_sharded(tmp_path / "engine", mmap_index=True)
-        assert mapped.tree is None
-        assert mapped.array_index is not None
+        assert mapped.array_index.fingerprint() == (
+            array_engine.array_index.fingerprint()
+        )
         assert isinstance(mapped.array_index.entry_points, np.memmap)
         assert _answers(mapped, queries) == _answers(array_engine, queries)
 
@@ -358,30 +521,60 @@ class TestEngineEquivalence:
             )
 
     def test_maintenance_recompacts_arrays(self, database, queries):
-        from repro.data.database import GeneFeatureDatabase
-
         matrices = list(database)
-        head = GeneFeatureDatabase()
-        for matrix in matrices[:-1]:
-            head.add(matrix)
-
-        engine = IMGRNEngine(head, _config(use_array_index=True))
+        engine = IMGRNEngine(_database_of(matrices[:-1]), _config())
         engine.build()
         before = engine.array_index.fingerprint()
 
         engine.add_matrix(matrices[-1])
-        assert engine.array_index is not None
+        engine.array_index.check_invariants()
         assert engine.array_index.fingerprint() != before
-        assert len(engine.array_index) == len(engine.tree)
 
-        # After maintenance the array view still answers like a fresh
-        # object-tree build over the same matrices.
-        full = GeneFeatureDatabase()
-        for matrix in matrices:
-            full.add(matrix)
-        fresh = IMGRNEngine(full, _config(use_array_index=False))
+        # After maintenance the index is the one a fresh build over the
+        # same matrices packs, and it answers the same.
+        fresh = IMGRNEngine(_database_of(matrices), _config())
         fresh.build()
+        assert engine.array_index.fingerprint() == fresh.array_index.fingerprint()
         assert _answers(engine, queries) == _answers(fresh, queries)
 
         engine.remove_matrix(matrices[-1].source_id)
-        assert len(engine.array_index) == len(engine.tree)
+        engine.array_index.check_invariants()
+        assert engine.array_index.fingerprint() == before
+
+    @pytest.mark.parametrize(
+        "script",
+        [
+            [("remove", 0)],
+            [("remove", 4), ("add", 6), ("remove", 6)],
+            [("add", 7), ("remove", 2), ("add", 6), ("remove", 5), ("add", 8)],
+            [("remove", s) for s in range(6)] + [("add", 8), ("add", 6)],
+        ],
+        ids=["one-remove", "add-remove", "interleaved", "empty-then-refill"],
+    )
+    def test_mutation_sequences_match_fresh_build(self, database, script):
+        """Any add/remove sequence packs the index of a fresh build.
+
+        The engine starts over sources 0-5; sources 6-8 arrive later. The
+        fresh build runs over the surviving sources in the order the
+        engine retains them (build order, then arrival order).
+        """
+        matrices = {m.source_id: m for m in database}
+        engine = IMGRNEngine(_database_of(list(database)[:6]), _config())
+        engine.build()
+        alive = list(range(6))
+        for action, source in script:
+            if action == "remove":
+                engine.remove_matrix(source)
+                alive.remove(source)
+            else:
+                engine.add_matrix(matrices[source])
+                alive.append(source)
+            engine.array_index.check_invariants()
+            if not alive:
+                assert engine.array_index.num_entries == 0
+                continue
+            fresh = IMGRNEngine(_database_of(matrices[s] for s in alive), _config())
+            fresh.build()
+            assert engine.array_index.fingerprint() == (
+                fresh.array_index.fingerprint()
+            )

@@ -138,7 +138,7 @@ class TestEngineRemoval:
             if s not in before and s != query.source_id
         )
         fresh_engine.remove_matrix(victim)
-        fresh_engine.tree.check_invariants()
+        fresh_engine.array_index.check_invariants()
         after = set(fresh_engine.query(query, gamma=0.5, alpha=0.0).answer_sources())
         assert after == before
 
@@ -154,9 +154,9 @@ class TestEngineRemoval:
     def test_tree_shrinks_by_matrix_width(self, fresh_engine):
         source = fresh_engine.database.source_ids[0]
         width = fresh_engine.database.get(source).num_genes
-        before = len(fresh_engine.tree)
+        before = len(fresh_engine.array_index)
         fresh_engine.remove_matrix(source)
-        assert len(fresh_engine.tree) == before - width
+        assert len(fresh_engine.array_index) == before - width
 
     def test_add_then_remove_is_noop_for_queries(
         self, fresh_engine, query_workload
@@ -177,7 +177,7 @@ class TestEngineRemoval:
         ]
         fresh_engine.add_matrix(new_matrix)
         fresh_engine.remove_matrix(777)
-        fresh_engine.tree.check_invariants()
+        fresh_engine.array_index.check_invariants()
         after = [
             fresh_engine.query(q, gamma=0.5, alpha=0.2).answer_sources()
             for q in query_workload

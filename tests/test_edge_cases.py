@@ -81,7 +81,7 @@ class TestDegenerateShapes:
             EngineConfig(num_pivots=4, mc_samples=32, seed=1),
         )
         engine.build()
-        engine.tree.check_invariants()
+        engine.array_index.check_invariants()
         result = engine.query(matrices[1].submatrix([0, 1]), gamma=0.2, alpha=0.0)
         assert 1 in result.answer_sources()
 

@@ -67,7 +67,7 @@ class TestAddMatrix:
     ):
         engine, new_matrix = engine_and_new_matrix
         engine.add_matrix(new_matrix)
-        engine.tree.check_invariants()
+        engine.array_index.check_invariants()
 
         rebuilt = IMGRNEngine(engine.database, TEST_CONFIG)
         rebuilt.build()
@@ -86,9 +86,9 @@ class TestAddMatrix:
 
     def test_tree_size_grows(self, engine_and_new_matrix):
         engine, new_matrix = engine_and_new_matrix
-        before = len(engine.tree)
+        before = len(engine.array_index)
         engine.add_matrix(new_matrix)
-        assert len(engine.tree) == before + new_matrix.num_genes
+        assert len(engine.array_index) == before + new_matrix.num_genes
 
     def test_duplicate_source_rejected(self, engine_and_new_matrix):
         engine, new_matrix = engine_and_new_matrix

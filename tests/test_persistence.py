@@ -43,7 +43,7 @@ class TestSaveLoad:
         loaded = load_engine(path)
         assert loaded.config == built_engine.config
         assert loaded.database.source_ids == built_engine.database.source_ids
-        loaded.tree.check_invariants()
+        loaded.array_index.check_invariants()
 
     def test_loaded_engine_supports_updates(
         self, built_engine, tmp_path, query_workload
@@ -128,3 +128,87 @@ class TestConfigCompatibility:
         original = built_engine.query(query_workload[0], gamma=0.5, alpha=0.2)
         restored = loaded.query(query_workload[0], gamma=0.5, alpha=0.2)
         assert restored.answer_sources() == original.answer_sources()
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_archive_with_use_array_index_loads(
+        self, built_engine, query_workload, tmp_path, flag
+    ):
+        """The retired ``use_array_index`` knob is ignored on load."""
+        import json
+
+        from repro.core.persistence import (
+            load_engine_sharded,
+            save_engine_sharded,
+        )
+
+        path = tmp_path / "old.npz"
+        save_engine(built_engine, path)
+        _rewrite_meta(path, lambda meta: meta["config"].update(use_array_index=flag))
+        directory = tmp_path / "old-sharded"
+        save_engine_sharded(built_engine, directory)
+        meta_path = directory / "meta.json"
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        meta["config"]["use_array_index"] = flag
+        meta_path.write_text(json.dumps(meta), encoding="utf-8")
+
+        original = built_engine.query(query_workload[0], gamma=0.5, alpha=0.2)
+        for loaded in (
+            load_engine(path),
+            load_engine_sharded(directory),
+            load_engine_sharded(directory, mmap_index=True),
+        ):
+            assert loaded.config == built_engine.config
+            assert loaded.array_index.fingerprint() == (
+                built_engine.array_index.fingerprint()
+            )
+            restored = loaded.query(query_workload[0], gamma=0.5, alpha=0.2)
+            assert restored.answer_sources() == original.answer_sources()
+
+
+class TestSaveAfterRemove:
+    """A removed source stays in the database but not in the index; saves
+    store only indexed sources (it used to raise ``KeyError``)."""
+
+    @pytest.fixture()
+    def removed_engine(self, small_database):
+        from repro.data.database import GeneFeatureDatabase
+
+        engine = IMGRNEngine(GeneFeatureDatabase(list(small_database)), TEST_CONFIG)
+        engine.build()
+        engine.remove_matrix(small_database.source_ids[0])
+        return engine
+
+    @staticmethod
+    def _assert_same_answers(a, b, queries):
+        assert a.array_index.fingerprint() == b.array_index.fingerprint()
+        for query in queries:
+            left = a.query(query, gamma=0.5, alpha=0.2)
+            right = b.query(query, gamma=0.5, alpha=0.2)
+            assert [(x.source_id, x.probability) for x in left.answers] == [
+                (x.source_id, x.probability) for x in right.answers
+            ]
+            assert left.stats.io_accesses == right.stats.io_accesses
+
+    @pytest.mark.parametrize("mmap_index", [False, True])
+    def test_sharded_save_after_remove(
+        self, removed_engine, small_database, query_workload, tmp_path, mmap_index
+    ):
+        from repro.core.persistence import (
+            load_engine_sharded,
+            save_engine_sharded,
+        )
+
+        removed = small_database.source_ids[0]
+        save_engine_sharded(removed_engine, tmp_path / "engine")
+        loaded = load_engine_sharded(tmp_path / "engine", mmap_index=mmap_index)
+        assert removed not in loaded.database.source_ids
+        loaded.array_index.check_invariants()
+        self._assert_same_answers(loaded, removed_engine, query_workload)
+
+    def test_archive_save_after_remove(
+        self, removed_engine, small_database, query_workload, tmp_path
+    ):
+        save_engine(removed_engine, tmp_path / "engine.npz")
+        loaded = load_engine(tmp_path / "engine.npz")
+        assert small_database.source_ids[0] not in loaded.database.source_ids
+        self._assert_same_answers(loaded, removed_engine, query_workload)

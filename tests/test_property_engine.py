@@ -83,7 +83,7 @@ def test_engine_equals_brute_force(case):
     assert result.answer_sources() == brute_force(
         database, result.query_graph, gamma, alpha
     )
-    engine.tree.check_invariants()
+    engine.array_index.check_invariants()
 
 
 @given(database_and_query())

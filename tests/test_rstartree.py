@@ -121,19 +121,15 @@ class TestCoordinateValidation:
             tree.insert(np.array([np.inf, 0.0]), 0, 0, 0)
 
     def test_bulk_load_nan_rejected(self, rng):
-        from repro.index.node import LeafEntry
+        from repro.index.arraystore import ArrayStore
 
-        tree = RStarTree(dim=2)
         pts = rng.normal(size=(10, 2))
         pts[4, 1] = np.nan
-        # The NaN is caught at LeafEntry construction (its point MBR)
-        # or, failing that, by bulk_load's own finiteness check.
+        rows = np.arange(10)
         with pytest.raises(ValidationError):
-            entries = [
-                LeafEntry(p, gene_id=i, source_id=0, payload=i)
-                for i, p in enumerate(pts)
-            ]
-            tree.bulk_load(entries)
+            ArrayStore.pack(
+                pts, rows, np.zeros(10), rows, max_entries=8, bitvector_bits=64
+            )
 
     def test_nearest_nan_query_rejected(self, rng):
         tree = build_tree(rng.normal(size=(20, 2)))
