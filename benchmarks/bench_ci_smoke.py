@@ -118,6 +118,9 @@ def bench_fig13_small() -> dict[str, float]:
         b = parallel._entries[sid].embedded
         assert a.x.tobytes() == b.x.tobytes(), f"embedding x diverged: {sid}"
         assert a.y.tobytes() == b.y.tobytes(), f"embedding y diverged: {sid}"
+    assert (
+        serial.array_index.fingerprint() == parallel.array_index.fingerprint()
+    ), "parallel build packed a different index"
 
     # mmap round trip: the zero-copy array index reloaded via np.memmap
     # must answer queries bit-identically to the in-process engine.

@@ -30,6 +30,7 @@ from .refine import (
     CandidateRefiner,
     RefinedAnswer,
     ScalarEdgeEvaluator,
+    SourceColumns,
 )
 from .spec import KINDS, QuerySpec, validate_query_params
 
@@ -53,6 +54,7 @@ __all__ = [
     "CandidateRefiner",
     "RefinedAnswer",
     "ScalarEdgeEvaluator",
+    "SourceColumns",
     "KINDS",
     "QuerySpec",
     "validate_query_params",

@@ -44,9 +44,8 @@ from .query import (
     _check_thresholds,
     _resolve_query_thresholds,
 )
-from .refine import BatchEdgeEvaluator, CandidateRefiner
+from .refine import BatchEdgeEvaluator, CandidateRefiner, SourceColumns
 from .spec import QuerySpec
-from .standardize import standardize_matrix
 
 __all__ = ["BaselineEngine", "LinearScanEngine"]
 
@@ -412,23 +411,23 @@ class LinearScanEngine:
         self._inference = BatchInferenceEngine(
             self._estimator, self.config.inference, obs=self.obs
         )
-        self._standardized: dict[int, np.ndarray] = {}
+        #: Each source's standardized store (the only state this engine
+        #: keeps); the scan's bounds and refinement both read it.
+        self._columns: dict[int, SourceColumns] = {}
 
     @property
     def is_built(self) -> bool:
-        return bool(self._standardized)
+        return bool(self._columns)
 
     def build(self) -> float:
         """Standardize matrices once (the only state this engine keeps)."""
         started = time.perf_counter()
         with self.obs.tracer.span("build", engine="linear_scan"):
-            self._standardized = {
-                m.source_id: standardize_matrix(m.values) for m in self.database
-            }
+            self._columns = {m.source_id: SourceColumns(m) for m in self.database}
         elapsed = time.perf_counter() - started
         self.obs.metrics.counter(
             _names.BUILD_MATRICES, help="matrices standardized", engine="linear_scan"
-        ).inc(len(self._standardized))
+        ).inc(len(self._columns))
         self.obs.metrics.histogram(
             _names.BUILD_SECONDS, help="build seconds", engine="linear_scan"
         ).observe(elapsed)
@@ -480,7 +479,7 @@ class LinearScanEngine:
             raise ValidationError(
                 f"execute() takes a QuerySpec, got {type(spec).__name__}"
             )
-        if not self._standardized:
+        if not self._columns:
             raise IndexNotBuiltError("call build() before execute()")
         kind = spec.kind
         gamma = spec.gamma
@@ -516,7 +515,7 @@ class LinearScanEngine:
             query_edges = [key for key, _p in query_graph.edges()]
             candidates: list[int] = []
             io_pages = 0
-            with tracer.span("query.scan", matrices=len(self._standardized)):
+            with tracer.span("query.scan", matrices=len(self._columns)):
                 for matrix in self.database:
                     # Reading the raw matrix from disk:
                     io_pages += max(
@@ -532,7 +531,7 @@ class LinearScanEngine:
                         gene not in matrix for gene in query_graph.gene_ids
                     ):
                         continue
-                    std = self._standardized[matrix.source_id]
+                    std = self._columns[matrix.source_id].std
                     expected = math.sqrt(2.0 * matrix.num_samples)
                     bounds: list[float] = []
                     missing = 0
@@ -577,7 +576,7 @@ class LinearScanEngine:
             refiner = CandidateRefiner(
                 query_graph,
                 gamma,
-                BatchEdgeEvaluator(self._inference, self.database.get),
+                BatchEdgeEvaluator(self._inference, self._columns.__getitem__),
                 engine="linear_scan",
                 config=self.config.refine,
                 metrics=metrics,

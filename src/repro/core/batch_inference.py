@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..config import InferenceConfig
-from ..errors import DimensionMismatchError, ValidationError
+from ..errors import DegenerateVectorError, DimensionMismatchError, ValidationError
 from ..obs import Observability
 from ..obs import names as _names
 from .randomization import MAX_EXACT_LENGTH, content_seed
@@ -52,23 +52,37 @@ _SEMANTICS = ("one_sided", "two_sided")
 
 
 def standardize_columns(matrix: np.ndarray) -> np.ndarray:
-    """Standardize every column via :func:`standardize_vector`.
+    """Standardize every column exactly as :func:`standardize_vector` does.
 
-    Unlike the vectorized :func:`repro.core.standardize.standardize_matrix`
-    (whose axis-0 reductions can differ from the single-vector path in the
-    last ulp), this produces columns byte-identical to standardizing each
-    column alone -- which keeps the content-keyed permutation streams, and
-    therefore the probability estimates, identical between the single-pair
-    and the all-pairs code paths.
+    The reductions run per row of the contiguous transpose, which numpy
+    sums pairwise exactly like the 1-D reductions of a single column, so
+    every column is byte-identical to standardizing it alone (unlike the
+    axis-0 reductions of :func:`repro.core.standardize.standardize_matrix`,
+    which can differ in the last ulp). That keeps the content-keyed
+    permutation streams, and therefore the probability estimates,
+    identical between the single-pair and the all-pairs code paths.
+    Returns a C-contiguous ``l x n`` array; raises the same errors as
+    :func:`standardize_vector` on any column.
     """
     arr = np.asarray(matrix, dtype=np.float64)
     if arr.ndim != 2:
         raise DimensionMismatchError(
             f"expected a 2-D matrix, got shape {arr.shape}"
         )
-    return np.column_stack(
-        [standardize_vector(arr[:, j]) for j in range(arr.shape[1])]
-    )
+    if arr.shape[0] < 2:
+        raise DimensionMismatchError(
+            f"need at least 2 samples to standardize, got {arr.shape[0]}"
+        )
+    if not np.all(np.isfinite(arr)):
+        raise DegenerateVectorError("vector contains non-finite values")
+    cols = np.ascontiguousarray(arr.T)
+    centered = cols - cols.mean(axis=1, keepdims=True)
+    scale = np.sqrt(np.mean(centered * centered, axis=1, keepdims=True))
+    if not np.all((scale > 0.0) & np.isfinite(scale)):
+        raise DegenerateVectorError(
+            "constant vector has zero variance; cannot standardize"
+        )
+    return np.ascontiguousarray((centered / scale).T)
 
 
 def _check_batch_args(n_samples: int, semantics: str) -> None:
@@ -213,6 +227,10 @@ class EdgeProbabilityCache:
     seed, exact_below)``, so a hit is guaranteed to hold exactly the value
     the estimator would recompute -- the inference threshold ``gamma``
     never enters the key because probabilities are threshold-free.
+    :class:`BatchInferenceEngine` packs a pair key as
+    ``((seed_s << 64) | seed_t, params)``: both seeds are unsigned 64-bit,
+    so the packed integer is injective, and ``params`` is one tuple shared
+    by every key of an engine, which keeps an entry small.
 
     Thread-safe: one engine-wide cache is shared by every concurrent
     query (the LRU recency list and hit/miss tallies mutate on reads),
@@ -299,6 +317,14 @@ class BatchInferenceEngine:
             self.cache = EdgeProbabilityCache(self.config.cache_size)
         else:
             self.cache = None
+        #: The estimator parameters every cache key carries; one shared
+        #: tuple per engine (the estimator is frozen).
+        self._params = (
+            estimator.resolved_samples(),
+            estimator.semantics,
+            estimator.seed,
+            min(estimator.exact_below, MAX_EXACT_LENGTH),
+        )
         # Hoisted once: hot-path updates are single float adds.
         metrics = self.obs.metrics
         self._pairs_estimated = metrics.counter(
@@ -314,14 +340,9 @@ class BatchInferenceEngine:
     # ------------------------------------------------------------------
     # Cache keys
     # ------------------------------------------------------------------
-    def _params_key(self) -> tuple:
-        est = self.estimator
-        return (
-            est.resolved_samples(),
-            est.semantics,
-            est.seed,
-            min(est.exact_below, MAX_EXACT_LENGTH),
-        )
+    def _pair_key(self, seed_s: int, seed_t: int) -> tuple:
+        """Cache key of the column pair ``(s, t)`` (``t`` randomized)."""
+        return ((seed_s << 64) | seed_t, self._params)
 
     def _exact_regime(self, length: int) -> bool:
         est = self.estimator
@@ -339,7 +360,7 @@ class BatchInferenceEngine:
         if self.cache is None:
             self._pairs_estimated.inc()
             return self._compute_pair(raw_s, raw_t, xs, xt)
-        key = (content_seed(xs), content_seed(xt), *self._params_key())
+        key = self._pair_key(content_seed(xs), content_seed(xt))
         hit = self.cache.get(key)
         if hit is not None:
             self._cache_hit_count.inc()
@@ -369,6 +390,7 @@ class BatchInferenceEngine:
         std: np.ndarray,
         pairs: list[tuple[int, int]],
         raw: np.ndarray | None = None,
+        seeds: dict[int, int] | None = None,
     ) -> dict[tuple[int, int], float]:
         """Probabilities for selected column pairs of a standardized matrix.
 
@@ -377,7 +399,11 @@ class BatchInferenceEngine:
         target column so one permutation block serves all of a column's
         partners; cached pairs are not recomputed. ``raw`` (the
         unstandardized matrix) is only consulted in the exact-enumeration
-        regime, where the estimator enumerates raw columns.
+        regime, where the estimator enumerates raw columns. ``seeds`` is
+        a ``{column: content_seed}`` memo for ``std`` that this call reads
+        and fills; a caller that keeps it alongside ``std`` (such as
+        :class:`~repro.core.refine.SourceColumns`) hashes each column
+        once, not once per call.
         """
         est = self.estimator
         if self._exact_regime(int(std.shape[0])):
@@ -389,8 +415,7 @@ class BatchInferenceEngine:
                 for s, t in pairs
             }
         n_samples = est.resolved_samples()
-        params = self._params_key()
-        col_seeds: dict[int, int] = {}
+        col_seeds: dict[int, int] = {} if seeds is None else seeds
 
         def seed_of(col: int) -> int:
             if col not in col_seeds:
@@ -405,7 +430,7 @@ class BatchInferenceEngine:
         hits = 0
         for s, t in pairs:
             if self.cache is not None:
-                key = (seed_of(s), seed_of(t), *params)
+                key = self._pair_key(seed_of(s), seed_of(t))
                 keys[(s, t)] = key
                 hit = self.cache.get(key)
                 if hit is not None:
@@ -458,13 +483,12 @@ class BatchInferenceEngine:
         n_samples = est.resolved_samples()
         _check_batch_args(n_samples, est.semantics)
         std = standardize_columns(matrix)
-        params = self._params_key()
         col_seeds = {t: content_seed(std[:, t]) for t in range(std.shape[1])}
         matrix_key = (
             "matrix",
             std.shape,
             content_seed(std),
-            *params,
+            *self._params,
         )
         if self.cache is not None:
             hit = self.cache.get(matrix_key)
@@ -495,7 +519,7 @@ class BatchInferenceEngine:
                 for t in range(1, n):
                     for s in range(t):
                         self.cache.put(
-                            (col_seeds[s], col_seeds[t], *params),
+                            self._pair_key(col_seeds[s], col_seeds[t]),
                             float(result[s, t]),
                         )
         return result

@@ -23,8 +23,8 @@ from ..errors import DimensionMismatchError, ValidationError
 from .pivots import _pairwise_distances_to, select_pivots, select_pivots_random
 from .randomization import (
     default_rng,
-    expected_randomized_distance_jensen,
     expected_randomized_distance_mc,
+    jensen_distance_matrix,
 )
 from .standardize import standardize_matrix
 
@@ -180,21 +180,15 @@ def embed_matrix(
         piv = np.asarray(pivot_indices, dtype=np.intp)
         x = _pairwise_distances_to(std, piv)
 
-        n = std.shape[1]
-        d = len(pivot_indices)
-        y = np.empty((n, d), dtype=np.float64)
         if expectation_mode == "jensen":
-            for s in range(n):
-                for r in range(d):
-                    y[s, r] = expected_randomized_distance_jensen(
-                        std[:, s], std[:, piv[r]]
-                    )
+            y = jensen_distance_matrix(std, piv)
         else:
-            for s in range(n):
-                for r in range(d):
+            y = np.empty(x.shape, dtype=np.float64)
+            for s in range(x.shape[0]):
+                for r, p in enumerate(piv):
                     y[s, r] = expected_randomized_distance_mc(
                         std[:, s],
-                        std[:, piv[r]],
+                        std[:, p],
                         n_samples=expectation_samples,
                         rng=gen,
                     )

@@ -38,7 +38,7 @@ from ..data.matrix import GeneFeatureMatrix
 from ..errors import IndexNotBuiltError, ValidationError
 from .embedding import EmbeddedMatrix
 from .query import IMGRNEngine, _MatrixEntry
-from .standardize import standardize_matrix
+from .refine import SourceColumns
 
 __all__ = [
     "save_engine",
@@ -207,9 +207,7 @@ def _install_index(
     for matrix in engine.database:
         embedded = embeddings[matrix.source_id]
         engine._entries[matrix.source_id] = _MatrixEntry(
-            matrix=matrix,
-            embedded=embedded,
-            standardized=standardize_matrix(matrix.values),
+            embedded, SourceColumns(matrix)
         )
         for gene_id in embedded.gene_ids:
             inverted.add(gene_id, matrix.source_id)
@@ -261,9 +259,7 @@ def _install_mmap_index(
         inverted.add(int(gene_ids[row]), int(source_ids[row]))
     for matrix in engine.database:
         engine._entries[matrix.source_id] = _MatrixEntry(
-            matrix=matrix,
-            embedded=embeddings[matrix.source_id],
-            standardized=standardize_matrix(matrix.values),
+            embeddings[matrix.source_id], SourceColumns(matrix)
         )
     engine.array_index = store
     engine.inverted_file = inverted

@@ -106,11 +106,18 @@ def select_pivots(
     if num_pivots == n:
         return tuple(range(n))
     gen = default_rng(rng)
+    # Every candidate set's distances are columns of one n x n matrix, so
+    # each swap is scored by slicing it instead of recomputing the product.
+    distances = _pairwise_distances_to(std, np.arange(n))
+
+    def cost(pivots: np.ndarray) -> float:
+        return float(2.0 * distances[:, pivots].min(axis=1).sum())
+
     global_cost = np.inf
     best: np.ndarray | None = None
     for _restart in range(global_iter):
         pivots = gen.choice(n, size=num_pivots, replace=False)
-        local_cost = pivot_cost(std, pivots)
+        local_cost = cost(pivots)
         non_pivots = np.setdiff1d(np.arange(n), pivots)
         for _swap in range(swap_iter):
             r = int(gen.integers(num_pivots))
@@ -118,7 +125,7 @@ def select_pivots(
             candidate = pivots.copy()
             swapped_out = candidate[r]
             candidate[r] = non_pivots[j]
-            candidate_cost = pivot_cost(std, candidate)
+            candidate_cost = cost(candidate)
             if candidate_cost < local_cost:
                 local_cost = candidate_cost
                 pivots = candidate

@@ -52,10 +52,8 @@ from .pruning import (
     pivot_edge_upper_bound,
     relaxed_graph_existence_upper_bound,
 )
-from .randomization import expected_randomized_distance_jensen
-from .refine import BatchEdgeEvaluator, CandidateRefiner
+from .refine import BatchEdgeEvaluator, CandidateRefiner, SourceColumns
 from .spec import QuerySpec
-from .standardize import standardize_matrix
 
 __all__ = ["IMGRNAnswer", "IMGRNResult", "IMGRNEngine"]
 
@@ -141,11 +139,18 @@ class IMGRNResult:
 
 @dataclass
 class _MatrixEntry:
-    """Per-matrix build artifacts the query phase needs."""
+    """Per-matrix build artifacts the query phase needs.
 
-    matrix: GeneFeatureMatrix
+    ``columns`` is the source's standardized store: leaf bounds and
+    refinement both read it, so no query standardizes a source.
+    """
+
     embedded: EmbeddedMatrix
-    standardized: np.ndarray = field(repr=False)
+    columns: SourceColumns = field(repr=False)
+
+    @property
+    def matrix(self) -> GeneFeatureMatrix:
+        return self.columns.matrix
 
 
 class IMGRNEngine:
@@ -243,6 +248,10 @@ class IMGRNEngine:
                 "reload with mmap_index=False (or rebuild) to mutate"
             )
 
+    def _source_columns(self, source_id: int) -> SourceColumns:
+        """The standardized store of one indexed source."""
+        return self._entries[source_id].columns
+
     def inference_stats(self) -> dict[str, float]:
         """Edge-probability cache counters of the batched inference engine."""
         return self._inference.stats()
@@ -289,9 +298,7 @@ class IMGRNEngine:
                 for matrix in matrices:
                     embedded = embedded_by_source[matrix.source_id]
                     self._entries[matrix.source_id] = _MatrixEntry(
-                        matrix=matrix,
-                        embedded=embedded,
-                        standardized=standardize_matrix(matrix.values),
+                        embedded, SourceColumns(matrix)
                     )
                     with tracer.span(
                         "build.inverted_file", source=matrix.source_id
@@ -673,7 +680,7 @@ class IMGRNEngine:
             refiner = CandidateRefiner(
                 query_graph,
                 gamma,
-                BatchEdgeEvaluator(self._inference, self.database.get),
+                BatchEdgeEvaluator(self._inference, self._source_columns),
                 engine=_ENGINE,
                 config=self.config.refine,
                 metrics=local,
@@ -750,9 +757,7 @@ class IMGRNEngine:
             rng = np.random.default_rng((self.config.seed, matrix.source_id))
             embedded = self._embed_with_padding(matrix, "cost_model", rng)
             self._entries[matrix.source_id] = _MatrixEntry(
-                matrix=matrix,
-                embedded=embedded,
-                standardized=standardize_matrix(matrix.values),
+                embedded, SourceColumns(matrix)
             )
             for gene_id in embedded.gene_ids:
                 self.inverted_file.add(gene_id, matrix.source_id)
@@ -1023,12 +1028,12 @@ class IMGRNEngine:
         xt = point_t[0 : 2 * d : 2]
         yt = point_t[1 : 2 * d : 2]
         bound = pivot_edge_upper_bound(xs, xt, yt)
-        matrix_entry = self._entries[source_id]
-        col_s = matrix_entry.matrix.column_index(gene_s)
-        col_t = matrix_entry.matrix.column_index(gene_t)
-        std = matrix_entry.standardized
+        columns = self._entries[source_id].columns
+        col_s = columns.matrix.column_index(gene_s)
+        col_t = columns.matrix.column_index(gene_t)
+        std = columns.std
         distance = float(np.linalg.norm(std[:, col_s] - std[:, col_t]))
-        expected = expected_randomized_distance_jensen(std[:, col_t], std[:, col_s])
+        expected = columns.expected_distance(col_t, col_s)
         return min(bound, markov_edge_upper_bound(distance, expected))
 
     # ------------------------------------------------------------------

@@ -35,6 +35,8 @@ __all__ = [
     "expected_randomized_distance_mc",
     "expected_randomized_distance_jensen",
     "expected_squared_randomized_distance",
+    "column_jensen_terms",
+    "jensen_distance_matrix",
     "MAX_EXACT_LENGTH",
 ]
 
@@ -164,6 +166,39 @@ def expected_squared_randomized_distance(x: np.ndarray, pivot: np.ndarray) -> fl
     value = float(x @ x) + float(pivot @ pivot) - cross
     # Guard against negative values from catastrophic cancellation.
     return max(0.0, value)
+
+
+def column_jensen_terms(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column ``(means, squared norms)`` of an ``l x n`` matrix.
+
+    These are the only per-vector terms of
+    :func:`expected_squared_randomized_distance`, so a whole matrix's
+    expected distances follow from them without a per-pair call. Both are
+    bit-equal to what that function computes for one column ``x`` alone:
+    the means reduce rows of the contiguous transpose, which numpy sums
+    pairwise exactly like ``x.mean()``, and each squared norm is the same
+    ``x @ x`` over the column view.
+    """
+    arr = np.asarray(matrix, dtype=np.float64)
+    means = np.ascontiguousarray(arr.T).mean(axis=1)
+    sq_norms = np.array([float(arr[:, j] @ arr[:, j]) for j in range(arr.shape[1])])
+    return means, sq_norms
+
+
+def jensen_distance_matrix(matrix: np.ndarray, pivots: np.ndarray) -> np.ndarray:
+    """:func:`expected_randomized_distance_jensen` for every column/pivot pair.
+
+    Entry ``[s, r]`` is the bound for column ``s`` randomized against
+    column ``pivots[r]`` of the same ``l x n`` matrix. One broadcast over
+    :func:`column_jensen_terms`, in the scalar formula's operation order
+    ``(||x||^2 + ||p||^2) - (2 l m_x) m_p``, so every entry is
+    byte-identical to the per-pair call.
+    """
+    arr = np.asarray(matrix, dtype=np.float64)
+    means, sq_norms = column_jensen_terms(arr)
+    cross = (2.0 * arr.shape[0] * means)[:, None] * means[None, pivots]
+    value = (sq_norms[:, None] + sq_norms[None, pivots]) - cross
+    return np.sqrt(np.maximum(value, 0.0))
 
 
 def expected_randomized_distance_jensen(x: np.ndarray, pivot: np.ndarray) -> float:

@@ -55,12 +55,14 @@ from .pruning import (
     markov_edge_upper_bound,
     relaxed_graph_existence_upper_bound,
 )
+from .randomization import column_jensen_terms
 
 __all__ = [
     "BatchEdgeEvaluator",
     "CandidateRefiner",
     "RefinedAnswer",
     "ScalarEdgeEvaluator",
+    "SourceColumns",
 ]
 
 #: A query edge as its canonical sorted (gene, gene) key.
@@ -81,17 +83,59 @@ class RefinedAnswer:
     probability: float
 
 
-class BatchEdgeEvaluator:
-    """Edge evaluation against raw data matrices via the batched engine.
+class SourceColumns:
+    """One source's standardized columns and their per-column terms.
 
-    A source's matrix is standardized once per query with
-    :func:`~repro.core.batch_inference.standardize_columns` -- the
-    per-column path, byte-identical to what ``pair_probability`` applies
-    to each vector, so batched probabilities and their content-seeded
-    cache keys equal the scalar calls exactly. ``bounds`` derives the
-    sound Markov upper bounds (Lemma 4) from the same standardized
-    columns, keeping ordering and prescreen decisions consistent with
-    the values they bound.
+    An engine builds one per source when it indexes the source and keeps
+    it for its lifetime, so queries read these bytes instead of
+    re-standardizing candidates:
+
+    * ``std`` -- :func:`~repro.core.batch_inference.standardize_columns`
+      of the raw values, byte-identical to what ``pair_probability``
+      applies to each vector, so batched probabilities and their
+      content-seeded cache keys equal the scalar calls exactly;
+    * ``seeds`` -- a ``{column: content_seed}`` memo that
+      :meth:`~repro.core.batch_inference.BatchInferenceEngine.pair_block_probabilities`
+      fills, so each column is hashed once per engine;
+    * the per-column Jensen terms behind :meth:`expected_distance`,
+      computed on first use.
+
+    Concurrent queries may fill the memos at once; every value is a pure
+    function of ``std``, so a race only repeats work.
+    """
+
+    __slots__ = ("matrix", "std", "seeds", "_terms")
+
+    def __init__(self, matrix) -> None:
+        self.matrix = matrix
+        self.std = standardize_columns(matrix.values)
+        self.seeds: dict[int, int] = {}
+        self._terms: tuple[np.ndarray, np.ndarray] | None = None
+
+    def expected_distance(self, t: int, s: int) -> float:
+        """``expected_randomized_distance_jensen(std[:, t], std[:, s])``.
+
+        Bit-equal to the scalar call: the same terms
+        (:func:`~repro.core.randomization.column_jensen_terms`) combined
+        in the same order.
+        """
+        if self._terms is None:
+            self._terms = column_jensen_terms(self.std)
+        means, sq_norms = self._terms
+        cross = 2.0 * self.std.shape[0] * float(means[t]) * float(means[s])
+        return math.sqrt(max(0.0, float(sq_norms[t]) + float(sq_norms[s]) - cross))
+
+
+class BatchEdgeEvaluator:
+    """Edge evaluation against an engine's stored :class:`SourceColumns`.
+
+    ``get_columns`` is the engine's lookup from source ID to the
+    :class:`SourceColumns` it built for that source, so refinement never
+    standardizes a candidate: ``evaluate`` hands the stored columns and
+    their seed memo to the batched estimator, and ``bounds`` derives the
+    sound Markov upper bounds (Lemma 4) from the same bytes, keeping
+    ordering and prescreen decisions consistent with the values they
+    bound.
     """
 
     supports_bounds = True
@@ -99,33 +143,21 @@ class BatchEdgeEvaluator:
     def __init__(
         self,
         inference,
-        get_matrix: Callable[[int], "object"],
+        get_columns: Callable[[int], SourceColumns],
     ) -> None:
         self._inference = inference
-        self._get_matrix = get_matrix
-        self._matrices: dict[int, object] = {}
-        self._std: dict[int, np.ndarray] = {}
+        self._get_columns = get_columns
 
     def matrix(self, source: int):
-        got = self._matrices.get(source)
-        if got is None:
-            got = self._matrices[source] = self._get_matrix(source)
-        return got
-
-    def _standardized(self, source: int) -> np.ndarray:
-        std = self._std.get(source)
-        if std is None:
-            std = self._std[source] = standardize_columns(
-                self.matrix(source).values
-            )
-        return std
+        return self._get_columns(source).matrix
 
     def bounds(
         self, source: int, edges: Sequence[EdgeKey]
     ) -> dict[EdgeKey, float]:
         """Markov upper bounds on the edges' existence probabilities."""
-        matrix = self.matrix(source)
-        std = self._standardized(source)
+        columns = self._get_columns(source)
+        matrix = columns.matrix
+        std = columns.std
         expected = math.sqrt(2.0 * matrix.num_samples)
         out: dict[EdgeKey, float] = {}
         for u, v in edges:
@@ -139,13 +171,13 @@ class BatchEdgeEvaluator:
         self, source: int, edges: Sequence[EdgeKey]
     ) -> dict[EdgeKey, float]:
         """Exact probabilities for ``edges``, one batched pass."""
-        matrix = self.matrix(source)
-        std = self._standardized(source)
+        columns = self._get_columns(source)
+        matrix = columns.matrix
         pairs = [
             (matrix.column_index(u), matrix.column_index(v)) for u, v in edges
         ]
         block = self._inference.pair_block_probabilities(
-            std, pairs, raw=matrix.values
+            columns.std, pairs, raw=matrix.values, seeds=columns.seeds
         )
         return {edge: block[pair] for edge, pair in zip(edges, pairs)}
 
@@ -207,11 +239,10 @@ class ScalarEdgeEvaluator:
 class CandidateRefiner:
     """Query-scoped refinement of surviving candidates.
 
-    One refiner serves one query: its memo table, bound cache and
-    standardized matrices are keyed by source and shared across every
-    kind-specific entry point (:meth:`refine_containment`,
-    :meth:`refine_similarity`, :meth:`refine_topk`,
-    :meth:`refine_topk_posthoc`).
+    One refiner serves one query: its memo table and bound cache are
+    keyed by source and shared across every kind-specific entry point
+    (:meth:`refine_containment`, :meth:`refine_similarity`,
+    :meth:`refine_topk`, :meth:`refine_topk_posthoc`).
 
     Parameters
     ----------

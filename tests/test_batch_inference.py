@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.config import InferenceConfig
 from repro.core.batch_inference import (
@@ -23,8 +26,14 @@ from repro.core.inference import (
     edge_probability_matrix,
     infer_grn,
 )
+from repro.core.randomization import content_seed
 from repro.core.standardize import standardize_vector
-from repro.errors import DimensionMismatchError, ValidationError
+from repro.errors import (
+    DegenerateVectorError,
+    DimensionMismatchError,
+    ReproError,
+    ValidationError,
+)
 
 
 @pytest.fixture()
@@ -56,7 +65,66 @@ class TestStandardizeColumns:
 
     def test_rejects_non_2d(self):
         with pytest.raises(DimensionMismatchError):
+            standardize_vector(np.ones((3, 2)))
+        with pytest.raises(DimensionMismatchError):
             standardize_columns(np.arange(6.0))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        hnp.arrays(
+            np.float64,
+            hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=40),
+            elements=st.floats(
+                min_value=-1e300,
+                max_value=1e300,
+                allow_nan=False,
+                allow_infinity=False,
+            ),
+        )
+    )
+    def test_bytes_equal_per_column_loop(self, m):
+        """Same bytes and layout as stacking standardize_vector per column,
+        or the same error type when a column cannot be standardized."""
+        try:
+            reference = np.column_stack([standardize_vector(c) for c in m.T])
+        except ReproError as exc:
+            with pytest.raises(type(exc)):
+                standardize_columns(m)
+            return
+        std = standardize_columns(m)
+        assert std.flags.c_contiguous and reference.flags.c_contiguous
+        assert std.shape == reference.shape
+        assert std.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("length", [2, 3, 17, 128, 129, 300])
+    def test_bytes_equal_at_pairwise_block_edges(self, rng, length):
+        m = rng.normal(3.0, 7.0, size=(length, 13))
+        reference = np.column_stack([standardize_vector(c) for c in m.T])
+        assert standardize_columns(m).tobytes() == reference.tobytes()
+
+    def test_constant_column_rejected_like_vector(self, rng):
+        m = rng.normal(size=(6, 3))
+        m[:, 1] = 2.5
+        with pytest.raises(DegenerateVectorError):
+            standardize_vector(m[:, 1])
+        with pytest.raises(DegenerateVectorError):
+            standardize_columns(m)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected_like_vector(self, rng, bad):
+        m = rng.normal(size=(6, 3))
+        m[4, 2] = bad
+        with pytest.raises(DegenerateVectorError):
+            standardize_vector(m[:, 2])
+        with pytest.raises(DegenerateVectorError):
+            standardize_columns(m)
+
+    def test_single_sample_rejected_like_vector(self):
+        m = np.array([[1.0, 2.0, 3.0]])
+        with pytest.raises(DimensionMismatchError):
+            standardize_vector(m[:, 0])
+        with pytest.raises(DimensionMismatchError):
+            standardize_columns(m)
 
 
 class TestBitIdentity:
@@ -99,6 +167,20 @@ class TestBitIdentity:
             assert probs[(s, t)] == estimator.pair_probability(
                 matrix[:, s], matrix[:, t]
             )
+
+    def test_pair_blocks_fill_and_reuse_seed_memo(self, matrix):
+        estimator = EdgeProbabilityEstimator(n_samples=64, seed=5)
+        std = standardize_columns(matrix)
+        pairs = [(0, 1), (2, 5), (0, 8)]
+        reference = BatchInferenceEngine(
+            estimator, InferenceConfig(cache=False)
+        ).pair_block_probabilities(std, pairs)
+        seeds: dict[int, int] = {}
+        engine = BatchInferenceEngine(estimator, InferenceConfig(cache=False))
+        assert engine.pair_block_probabilities(std, pairs, seeds=seeds) == reference
+        # Without a cache only the randomized (target) columns need seeds.
+        assert seeds == {t: content_seed(std[:, t]) for _s, t in pairs}
+        assert engine.pair_block_probabilities(std, pairs, seeds=seeds) == reference
 
     def test_cache_off_equals_cache_on(self, matrix):
         estimator = EdgeProbabilityEstimator(n_samples=64, seed=5)
@@ -165,6 +247,22 @@ class TestCache:
         assert p32 == EdgeProbabilityEstimator(n_samples=32, seed=5).pair_probability(
             matrix[:, 0], matrix[:, 1]
         )
+
+    def test_pair_keys_pack_both_seeds_and_share_params(self, matrix):
+        engine = BatchInferenceEngine(
+            EdgeProbabilityEstimator(n_samples=32, seed=5), InferenceConfig()
+        )
+        std = standardize_columns(matrix)
+        pairs = [(0, 1), (0, 2), (1, 2)]
+        engine.pair_block_probabilities(std, pairs)
+        keys = list(engine.cache._data)
+        assert len(keys) == len(pairs)
+        seeds = [content_seed(std[:, c]) for c in range(3)]
+        for key, (s, t) in zip(keys, pairs):
+            packed, params = key
+            assert packed >> 64 == seeds[s]
+            assert packed & ((1 << 64) - 1) == seeds[t]
+            assert params is keys[0][1]
 
     def test_lru_eviction(self):
         cache = EdgeProbabilityCache(max_entries=2)
